@@ -76,7 +76,6 @@ from .groebner import (
     bm_reduced_gb,
     ideal_membership,
     is_unique_gb,
-    monomial_box,
     transport_gb,
     universal_basis,
     verify_reduced_gb,

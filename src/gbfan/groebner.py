@@ -1,16 +1,18 @@
 """Reduced Groebner bases of vanishing ideals of finite point sets.
 
-The basis for one monomial order comes from incremental interpolation
-over the points.  The complete collection over all orders (the algebraic
+The basis for one monomial order comes from border-driven
+Buchberger-Moeller interpolation over the points: monomials are tested in
+ascending order, each only once it lies on the border of the staircase
+grown so far, so the work grows with the number of points and variables
+and not with p.  The complete collection over all orders (the algebraic
 fan) comes from testing every basic staircase for coherence with a
 strictly positive weight vector, using exact rational inequality
 elimination, followed by a verification run of the interpolation.
 """
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import BudgetExceeded, EmptyPointSet
@@ -24,13 +26,6 @@ from .poly import (
     format_polynomial,
     normal_form,
 )
-
-
-@lru_cache(maxsize=None)
-def monomial_box(p, n):
-    """Exponent vectors with entries up to p, the largest exponent any
-    reduced basis of an ideal of points can carry."""
-    return tuple(itertools.product(range(p + 1), repeat=n))
 
 
 class ReducedGroebnerBasis:
@@ -118,20 +113,29 @@ class AlgebraicFan:
 def bm_reduced_gb(points, order):
     """Reduced Groebner basis of the vanishing ideal, for one order.
 
-    Monomials of the box [0, p]^n are scanned in ascending order.  Each
-    monomial's vector of values over the points either extends the span of
-    the standard monomials found so far or produces one generator, the
-    monomial minus its interpolant over the standard monomials.  Multiples
-    of committed leading terms are skipped, so the leading terms are the
-    corners of the standard-monomial staircase and the result is monic and
-    inter-reduced by construction.
+    Border-driven Buchberger-Moeller interpolation.  Candidate monomials
+    wait in a queue ordered by the monomial order, starting from the
+    constant monomial 1.  The smallest candidate is popped; a multiple of a
+    committed leading term is dropped.  Otherwise its vector of values over
+    the points either extends the span of the standard monomials found so
+    far, and its n successors u*x_j become candidates, or it produces one
+    generator, the monomial minus its interpolant over the standard
+    monomials.  A monomial is tested only after every divisor of it has
+    been found standard, so the leading terms are the corners of the
+    staircase and the result is monic and inter-reduced by construction.
+
+    A successor's values are its parent's values times one coordinate of
+    each point, so at most 1 + n*|V| monomials are visited and the work
+    does not depend on p.
     """
     if len(points) == 0:
         raise EmptyPointSet("cannot interpolate an empty point set")
     p, n = points.p, points.n
     pts = points.points
     m = len(pts)
-    ordered = sorted(monomial_box(p, n), key=order.key)
+    one = (0,) * n
+    border = [(order.key(one), one, [1] * m)]
+    queued = {one}
 
     sm = []
     reduced_rows = []
@@ -140,7 +144,8 @@ def bm_reduced_gb(points, order):
     generators = []
     leads = []
 
-    for u in ordered:
+    while border:
+        _, u, values = heapq.heappop(border)
         skip = False
         for t in leads:
             if divides(t, u):
@@ -148,7 +153,7 @@ def bm_reduced_gb(points, order):
                 break
         if skip:
             continue
-        residual = [eval_monomial(v, u, p) for v in pts]
+        residual = list(values)
         acc = [0] * len(sm)
         for row, combo, piv in zip(reduced_rows, row_combos, pivots):
             c = residual[piv]
@@ -173,6 +178,12 @@ def bm_reduced_gb(points, order):
             row_combos.append(combo)
             pivots.append(piv)
             sm.append(u)
+            for j in range(n):
+                w = u[:j] + (u[j] + 1,) + u[j + 1 :]
+                if w not in queued:
+                    queued.add(w)
+                    succ = [x * v[j] % p for x, v in zip(values, pts)]
+                    heapq.heappush(border, (order.key(w), w, succ))
 
     if len(sm) != m:
         raise RuntimeError("standard monomials do not span the point space")

@@ -7,6 +7,7 @@ conversion.
 
 import itertools
 from functools import lru_cache
+from math import prod
 
 from .errors import DimensionMismatch, EmptyStaircase
 from .field import MatrixZp, gf2_row_rank, is_prime, modp_row_rank
@@ -24,6 +25,12 @@ def box_points(p, n):
     return list(_box(p, n))
 
 
+# Largest modulus whose powers eval_monomial reads from a cached table.  The
+# table has p*(p+1) entries and lives as long as the process; for small p it
+# beats pow(), for large p building it costs more than it saves.
+_POW_TABLE_MAX_P = 64
+
+
 @lru_cache(maxsize=None)
 def _pow_table(p):
     # value ** exponent, exponents up to the cap p
@@ -32,6 +39,8 @@ def _pow_table(p):
 
 def eval_monomial(point, exponents, p):
     """Value of x^exponents at a point, exactly over Z_p."""
+    if p > _POW_TABLE_MAX_P:
+        return prod(pow(v, e, p) for v, e in zip(point, exponents)) % p
     table = _pow_table(p)
     out = 1
     for v, e in zip(point, exponents):

@@ -8,15 +8,92 @@ staircase feasibility.
 
 import itertools
 import math
+from functools import lru_cache
 
 from gbfan import (
     LinearShift,
+    MarkedPolynomial,
+    OrderIdealSet,
     PointSet,
+    Polynomial,
+    ReducedGroebnerBasis,
     WeightOrder,
     bm_reduced_gb,
     box_points,
-    monomial_box,
+    divides,
 )
+from gbfan.points import eval_monomial
+
+
+@lru_cache(maxsize=None)
+def monomial_box(p, n):
+    """Exponent vectors with entries up to p, the largest exponent any
+    reduced basis of an ideal of points can carry."""
+    return tuple(itertools.product(range(p + 1), repeat=n))
+
+
+def box_scan_reduced_gb(points, order):
+    """Reduced basis by scanning the whole box [0, p]^n in ascending order.
+
+    Each monomial's vector of values over the points either extends the
+    span of the standard monomials found so far or produces one generator,
+    the monomial minus its interpolant over the standard monomials.
+    Multiples of committed leading terms are skipped.  Costs (p+1)^n
+    monomials; the reference for the border walk of `bm_reduced_gb`.
+    """
+    p, n = points.p, points.n
+    pts = points.points
+    m = len(pts)
+    ordered = sorted(monomial_box(p, n), key=order.key)
+
+    sm = []
+    reduced_rows = []
+    row_combos = []
+    pivots = []
+    generators = []
+    leads = []
+
+    for u in ordered:
+        skip = False
+        for t in leads:
+            if divides(t, u):
+                skip = True
+                break
+        if skip:
+            continue
+        residual = [eval_monomial(v, u, p) for v in pts]
+        acc = [0] * len(sm)
+        for row, combo, piv in zip(reduced_rows, row_combos, pivots):
+            c = residual[piv]
+            if c:
+                for i in range(m):
+                    residual[i] = (residual[i] - c * row[i]) % p
+                for j in range(len(combo)):
+                    acc[j] = (acc[j] + c * combo[j]) % p
+        piv = next((i for i, x in enumerate(residual) if x), None)
+        if piv is None:
+            terms = {u: 1}
+            for j, cj in enumerate(acc):
+                if cj:
+                    terms[sm[j]] = p - cj
+            generators.append(MarkedPolynomial(Polynomial(p, n, terms), u))
+            leads.append(u)
+        else:
+            inv = pow(residual[piv], -1, p)
+            reduced_rows.append([x * inv % p for x in residual])
+            combo = [(-x * inv) % p for x in acc]
+            combo.append(inv % p)
+            row_combos.append(combo)
+            pivots.append(piv)
+            sm.append(u)
+
+    if len(sm) != m:
+        raise RuntimeError("standard monomials do not span the point space")
+    return ReducedGroebnerBasis(
+        order=order,
+        generators=generators,
+        standard_monomials=OrderIdealSet(p, n, sm),
+    )
 
 
 def brute_force_order_ideals(p, n, m):
@@ -134,6 +211,14 @@ def random_point_set(rng, p, n, max_size=None):
     cap = len(box) if max_size is None else min(max_size, len(box))
     size = rng.randint(1, cap)
     return PointSet(p, n, rng.sample(box, size))
+
+
+def random_points(rng, p, n, m):
+    """m distinct random points, drawn without listing the box, for large p."""
+    pts = set()
+    while len(pts) < m:
+        pts.add(tuple(rng.randrange(p) for _ in range(n)))
+    return PointSet(p, n, pts)
 
 
 def random_shift(rng, p, n):

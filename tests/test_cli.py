@@ -1,4 +1,5 @@
 import json
+import random
 
 from gbfan import (
     DataSet,
@@ -9,6 +10,7 @@ from gbfan import (
     parse_polynomial,
 )
 from gbfan.cli import main
+from _oracles import random_points
 
 TOY = {"p": 3, "n": 2, "points": [[0, 0], [1, 0], [2, 1]]}
 S5 = {
@@ -237,3 +239,30 @@ def test_invalid_config_rejected(tmp_path, capsys):
     code, _, err = _run(capsys, ["gb", toy, "--order", "grlex", "--config", str(cfg)])
     assert code == 2
     assert "max_box" in err
+
+
+LARGE_P = 1000003
+
+
+def test_gb_large_p(tmp_path, capsys):
+    points = random_points(random.Random(LARGE_P), LARGE_P, 3, 10)
+    path = _write(tmp_path, "big.json", points.to_json())
+    code, out, _ = _run(capsys, ["gb", path, "--order", "grevlex"])
+    assert code == 0
+    assert len(json.loads(out)["standard_monomials"]) == 10
+
+
+def test_fds_select_large_p(tmp_path, capsys):
+    rng = random.Random(LARGE_P)
+    points = random_points(rng, LARGE_P, 2, 6)
+    pairs = [(v, tuple(rng.randrange(LARGE_P) for _ in range(2))) for v in points]
+    dataset = DataSet.from_pairs(LARGE_P, 2, pairs)
+    datafile = _write(tmp_path, "big_data.json", dataset.to_json())
+    code, out, _ = _run(capsys, ["fds", "select", datafile, "--order", "grevlex"])
+    assert code == 0
+    models = json.loads(out)["models"]
+    assert set(models) == {"1", "2"}
+    for key, text in models.items():
+        f = parse_polynomial(text, LARGE_P, 2)
+        outputs = dataset.outputs[int(key) - 1]
+        assert [f.evaluate(v) for v in dataset.inputs.points] == list(outputs)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,13 @@ from gbfan import (
     universal_basis,
     verify_reduced_gb,
 )
-from _oracles import random_point_set, random_shift, weight_grid_bases
+from _oracles import (
+    box_scan_reduced_gb,
+    random_point_set,
+    random_points,
+    random_shift,
+    weight_grid_bases,
+)
 
 TOY = PointSet(3, 2, [(0, 0), (1, 0), (2, 1)])
 
@@ -292,3 +299,88 @@ def test_structural_invariants_on_random_bases():
             verify_reduced_gb(entry.basis, V)
             sm = entry.standard_monomials
             assert len(sm) == len(V)
+
+
+def _basis_layout(basis):
+    return (
+        basis.standard_monomials.points,
+        [(g.leading, g.poly.terms) for g in basis.generators],
+    )
+
+
+def _random_orders(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    weights = [rng.randint(1, 5) for _ in range(n)]
+    tie = list(range(n))
+    rng.shuffle(tie)
+    return [
+        GrevLexOrder(),
+        GrLexOrder(),
+        LexOrder(),
+        LexOrder(perm),
+        WeightOrder(weights),
+        WeightOrder(weights, tie=tie),
+        WeightOrder([Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(n)]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (11, 2)]
+)
+def test_border_walk_matches_box_scan(p, n):
+    # same staircase, same generator order and the same term dicts as the
+    # scan of the whole box [0, p]^n, on random sets and on single points
+    rng = random.Random(1000 * p + n)
+    sets = [random_point_set(rng, p, n, max_size=1) for _ in range(2)]
+    sets += [random_point_set(rng, p, n, max_size=24) for _ in range(38)]
+    for V in sets:
+        for order in _random_orders(rng, n):
+            assert _basis_layout(bm_reduced_gb(V, order)) == _basis_layout(
+                box_scan_reduced_gb(V, order)
+            ), (V, order)
+
+
+def test_border_walk_without_variables():
+    V = PointSet(3, 0, [()])
+    for order in (GrevLexOrder(), GrLexOrder(), LexOrder()):
+        basis = bm_reduced_gb(V, order)
+        assert _basis_layout(basis) == _basis_layout(box_scan_reduced_gb(V, order))
+        assert basis.standard_monomials.points == ((),)
+        assert basis.generators == ()
+
+
+LARGE_P_ORDERS = [GrevLexOrder(), GrLexOrder(), LexOrder(), WeightOrder((2, 3, 4))]
+SYMPY_ORDERS = {GrevLexOrder(): "grevlex", GrLexOrder(): "grlex", LexOrder(): "lex"}
+
+
+@pytest.mark.parametrize("p", [101, 1000003])
+def test_large_p_bases_verify(p):
+    # the box [0, p]^3 has over 10^18 monomials at p = 1000003; the border
+    # walk never builds it
+    V = random_points(random.Random(p), p, 3, 10)
+    for order in LARGE_P_ORDERS:
+        basis = bm_reduced_gb(V, order)
+        verify_reduced_gb(basis, V)
+        assert len(basis.standard_monomials) == 10
+
+
+@pytest.mark.parametrize("p", [101, 1000003])
+def test_large_p_bases_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    V = random_points(random.Random(p), p, 3, 10)
+    xs = sympy.symbols("x1:4")
+    for order, name in SYMPY_ORDERS.items():
+        basis = bm_reduced_gb(V, order)
+        # from_dict converts the coefficients of the dict it is given in place
+        polys = [
+            sympy.Poly.from_dict(dict(g.poly.terms), *xs, modulus=p)
+            for g in basis.generators
+        ]
+        reduced = sympy.groebner(polys, *xs, modulus=p, order=name)
+        theirs = {
+            frozenset((tuple(e), int(c) % p) for e, c in g.terms())
+            for g in reduced.polys
+        }
+        ours = {frozenset(g.poly.terms.items()) for g in basis.generators}
+        assert ours == theirs, name

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from gbfan import (
     is_staircase,
     layer,
 )
+from gbfan.points import eval_monomial
 from _oracles import brute_force_order_ideals
 
 
@@ -56,6 +58,18 @@ def test_is_staircase_examples():
     assert not is_staircase(PointSet(3, 2, [(2, 0), (0, 1)]))
     assert is_staircase(PointSet(2, 2, box_points(2, 2)))
     assert is_staircase([])
+
+
+@pytest.mark.parametrize("p", [2, 3, 61, 67, 1009, 1000003])
+def test_eval_monomial_matches_plain_powers(p):
+    # small moduli read a power table, large ones call pow(); both must give
+    # the plain product, for exponents on both sides of the cap p
+    rng = random.Random(p)
+    for _ in range(200):
+        point = [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(3)]
+        exps = [rng.choice([0, 1, p, p + 1, rng.randrange(2 * p + 3)]) for _ in range(3)]
+        expected = math.prod(pow(v, e, p) for v, e in zip(point, exps)) % p
+        assert eval_monomial(point, exps, p) == expected
 
 
 def test_evaluation_matrix_examples():
