@@ -9,7 +9,7 @@ codes: 0 success, 2 malformed input, 3 budget exceeded.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from .fds import (
     weak_components,
 )
 from .groebner import all_reduced_gbs, bm_reduced_gb, transport_gb
-from .points import PointSet
+from .points import PointSet, require, require_object
 from .poly import (
     GrevLexOrder,
     GrLexOrder,
@@ -36,6 +36,7 @@ from .poly import (
 from .shifts import classify, detect_shift, find_staircase_shift
 
 DEFAULT_SEED = 0
+FORMATS = ("json", "text", "dot")
 
 
 @dataclass(frozen=True)
@@ -51,20 +52,27 @@ class RunConfig:
     names: tuple | None = None
     format: str = "json"
     seed: int = DEFAULT_SEED
-    threads: int = 1
 
     def __post_init__(self):
-        for attr in ("max_box", "max_points", "max_sets", "max_augment", "threads"):
+        for attr in ("max_box", "max_points", "max_sets", "max_augment"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be positive")
         if self.names is not None and len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
+        if self.format not in FORMATS:
+            raise ValueError(f"format must be one of {', '.join(FORMATS)}")
 
     @classmethod
     def from_file(cls, path):
-        data = json.loads(Path(path).read_text())
-        if "names" in data and data["names"] is not None:
-            data["names"] = tuple(data["names"])
+        data = require_object(json.loads(Path(path).read_text()), (), "a config file")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        for key, value in data.items():
+            if key == "names" and value is not None:
+                data[key] = tuple(require(value, [str], "names must be strings"))
+            elif key != "format" and not (key in ("p", "n") and value is None):
+                require(value, int, f"{key} must be an integer")
         return cls(**data)
 
 
@@ -105,7 +113,7 @@ def load_point_set(path, p=None, n=None):
     """Point-set file: JSON with p/n/points, or CSV rows with --p/--n."""
     text = Path(path).read_text()
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return PointSet.from_json(json.loads(text))
     if p is None or n is None:
         raise ValueError("CSV point files require --p and --n")
@@ -291,7 +299,7 @@ def cmd_fds_models(args, config):
 def cmd_fds_augment(args, config):
     points = load_point_set(args.points, config.p, config.n)
     k_max = args.max_k if args.max_k is not None else config.max_augment
-    found = min_augmentation(points, k_max)
+    found = min_augmentation(points, k_max, max_sets=config.max_sets)
     if found is None:
         _emit({"exhausted": True, "max_k": k_max}, config)
     else:
@@ -352,14 +360,14 @@ def cmd_lac_demo(args, config):
     return 0
 
 
-def _add_common(parser):
+def _add_common(parser, shape_required=False):
     parser.add_argument("--config", help="JSON file with RunConfig fields")
-    parser.add_argument("--format", choices=["json", "text", "dot"], default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--names", help="comma-separated variable names for output")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--p", type=int, default=None, help="modulus for CSV input")
-    parser.add_argument("--n", type=int, default=None, help="arity for CSV input")
+    csv = "" if shape_required else " for CSV input"
+    parser.add_argument("--p", type=int, required=shape_required, help="modulus" + csv)
+    parser.add_argument("--n", type=int, required=shape_required, help="arity" + csv)
     parser.add_argument("--max-box", type=int, default=None)
     parser.add_argument("--max-points", type=int, default=None)
     parser.add_argument("--max-sets", type=int, default=None)
@@ -400,18 +408,9 @@ def build_parser():
     sp.set_defaults(func=cmd_shift)
 
     sp = sub.add_parser("classify", help="shift-equivalence classification sweep")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--sample", type=int, default=None)
-    sp.add_argument("--config", help="JSON file with RunConfig fields")
-    sp.add_argument("--format", choices=["json", "text", "dot"], default=None)
-    sp.add_argument("--names")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--max-box", type=int, default=None)
-    sp.add_argument("--max-points", type=int, default=None)
-    sp.add_argument("--max-sets", type=int, default=None)
+    _add_common(sp, shape_required=True)
     sp.set_defaults(func=cmd_classify)
 
     fds = sub.add_parser("fds", help="finite dynamical system pipelines")
@@ -449,25 +448,13 @@ def build_parser():
 
 def _build_config(args):
     config = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    if getattr(args, "format", None):
-        overrides["format"] = args.format
+    overrides = {
+        key: getattr(args, key)
+        for key in ("format", "seed", "p", "n", "max_box", "max_points", "max_sets")
+        if getattr(args, key, None) is not None
+    }
     if getattr(args, "names", None):
         overrides["names"] = tuple(args.names.split(","))
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if getattr(args, "p", None) is not None and args.func is not cmd_classify:
-        overrides["p"] = args.p
-    if getattr(args, "n", None) is not None and args.func is not cmd_classify:
-        overrides["n"] = args.n
-    if getattr(args, "max_box", None) is not None:
-        overrides["max_box"] = args.max_box
-    if getattr(args, "max_points", None) is not None:
-        overrides["max_points"] = args.max_points
-    if getattr(args, "max_sets", None) is not None:
-        overrides["max_sets"] = args.max_sets
     return replace(config, **overrides) if overrides else config
 
 

@@ -8,11 +8,18 @@ one interpolating model per quotient basis of its input ideal.
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .errors import BudgetExceeded, DimensionMismatch, EmptyPointSet, NotBasic
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    EmptyPointSet,
+    NotBasic,
+    SingularMatrix,
+)
 from .groebner import _basic_staircase_count, all_reduced_gbs
 from .field import modp_solve_columns
-from .points import PointSet, box_points, eval_monomial, is_basic
+from .points import PointSet, box_points, evaluation_rows, require, require_object
 from .poly import Polynomial, format_polynomial, parse_polynomial
 
 
@@ -173,9 +180,11 @@ class FiniteDynamicalSystem:
 
     @classmethod
     def from_json(cls, data):
-        p, n = int(data["p"]), int(data["n"])
-        funcs = [parse_polynomial(text, p, n) for text in data["functions"]]
-        return cls(p, n, funcs)
+        require_object(data, ("p", "n", "functions"), "a system file")
+        p = require(data["p"], int, "p must be an integer")
+        n = require(data["n"], int, "n must be an integer")
+        texts = require(data["functions"], [str], "functions must be a list of strings")
+        return cls(p, n, [parse_polynomial(text, p, n) for text in texts])
 
 
 def apply_fds(system, state):
@@ -186,16 +195,17 @@ def apply_fds(system, state):
 class StateSpaceGraph:
     """Functional graph of a system: every state has exactly one out-edge."""
 
-    __slots__ = ("p", "n", "nodes", "images")
+    __slots__ = ("p", "n", "nodes", "images", "_image_of")
 
     def __init__(self, p, n, nodes, images):
         self.p = p
         self.n = n
         self.nodes = tuple(nodes)
         self.images = tuple(images)
+        self._image_of = dict(zip(self.nodes, self.images))
 
     def successor(self, state):
-        return self.images[self.nodes.index(tuple(state))]
+        return self._image_of[tuple(state)]
 
     def edges(self):
         return list(zip(self.nodes, self.images))
@@ -309,7 +319,12 @@ class DataSet:
     @classmethod
     def from_json(cls, data):
         inputs = PointSet.from_json(data)
-        outputs = {int(k) - 1: v for k, v in data["outputs"].items()}
+        require_object(data, ("outputs",), "a data file")
+        outputs = {}
+        for k, v in require(data["outputs"], dict, "outputs must be an object").items():
+            if not (k.isdigit() and 1 <= int(k) <= inputs.n):
+                raise ValueError(f"output key {k!r} is not a coordinate 1..{inputs.n}")
+            outputs[int(k) - 1] = require(v, [int], f"outputs {k} must be integers")
         return cls(inputs, outputs)
 
 
@@ -326,13 +341,15 @@ def model_select(dataset, staircase, coordinate):
         if isinstance(staircase, PointSet)
         else [tuple(u) for u in staircase]
     )
-    if not is_basic(mons, dataset.inputs):
-        raise NotBasic(f"{mons} is not a quotient basis for the inputs")
     p = dataset.p
-    rows = [[eval_monomial(v, u, p) for u in mons] for v in dataset.inputs.points]
-    rhs = list(dataset.outputs[coordinate])
-    coeffs = modp_solve_columns(rows, [rhs], p)[0]
-    return Polynomial(p, dataset.n, dict(zip(mons, coeffs)))
+    rows = evaluation_rows(mons, dataset.inputs.points, p)
+    if len(mons) == len(rows):
+        try:
+            coeffs = modp_solve_columns(rows, [dataset.outputs[coordinate]], p)[0]
+            return Polynomial(p, dataset.n, dict(zip(mons, coeffs)))
+        except SingularMatrix:
+            pass
+    raise NotBasic(f"{mons} is not a quotient basis for the inputs")
 
 
 @dataclass(frozen=True)
@@ -376,17 +393,31 @@ def enumerate_models(dataset, max_box=64, max_points=16):
     )
 
 
-def min_augmentation(points, k_max):
+def min_augmentation(points, k_max, max_sets=20000):
     """Fewest extra points forcing a unique reduced basis.
 
     Complement subsets are scanned by size and then lexicographically;
     the first subset whose union with the points leaves a single basic
     staircase wins.  Returns (k, witness) or None when k_max is exhausted.
+    Unless the points already have a unique basis, raises BudgetExceeded
+    before any scan when the subsets of up to k_max points number more
+    than max_sets.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
+    if _basic_staircase_count(points, limit=2) == 1:
+        return 0, PointSet(points.p, points.n, ())
+    free = points.p**points.n - len(points)
+    candidates = 0
+    for k in range(min(k_max, free) + 1):
+        candidates += comb(free, k)
+        if candidates > max_sets:
+            raise BudgetExceeded(
+                f"{candidates} candidate sets of up to {k} extra points "
+                f"exceed the budget {max_sets}"
+            )
     complement = points.complement().points
-    for k in range(0, k_max + 1):
+    for k in range(1, k_max + 1):
         for extra in itertools.combinations(complement, k):
             candidate = points.union(extra)
             if _basic_staircase_count(candidate, limit=2) == 1:

@@ -2,8 +2,6 @@
 
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ModulusMismatch, SingularMatrix, ZeroInverse
 
 
@@ -133,6 +131,15 @@ class Scalar:
         return f"Scalar({self.value}, mod {self.p})"
 
 
+def _reduced(x, modulus):
+    """An int or Scalar entry as its value in [0, p)."""
+    if isinstance(x, Scalar):
+        if x.modulus != modulus:
+            raise ModulusMismatch(f"entry mod {x.p} against modulus {modulus.p}")
+        return x.value
+    return int(x) % modulus.p
+
+
 def scalar_inverse(a):
     """Multiplicative inverse in Z_p; zero has none."""
     if a.value == 0:
@@ -141,36 +148,23 @@ def scalar_inverse(a):
 
 
 class MatrixZp:
-    """Dense matrix over Z_p backed by a reduced integer array."""
+    """Dense matrix over Z_p: reduced entries as a tuple of int tuples.
 
-    __slots__ = ("modulus", "array")
+    The shape is stored beside them, so a matrix with no rows or no
+    columns still reports both dimensions.
+    """
+
+    __slots__ = ("modulus", "entries", "shape")
 
     def __init__(self, modulus, rows):
         if isinstance(modulus, int):
             modulus = PrimeModulus(modulus)
-        p = modulus.p
-        data = []
-        width = None
-        for row in rows:
-            cleaned = []
-            for x in row:
-                if isinstance(x, Scalar):
-                    if x.modulus != modulus:
-                        raise ModulusMismatch(
-                            f"entry mod {x.p} in a matrix mod {p}"
-                        )
-                    cleaned.append(x.value)
-                else:
-                    cleaned.append(int(x) % p)
-            if width is None:
-                width = len(cleaned)
-            elif len(cleaned) != width:
-                raise ValueError("rows of unequal length")
-            data.append(cleaned)
-        if width is None:
-            width = 0
+        data = tuple(tuple(_reduced(x, modulus) for x in row) for row in rows)
+        if len({len(row) for row in data}) > 1:
+            raise ValueError("rows of unequal length")
         self.modulus = modulus
-        self.array = np.array(data, dtype=np.int64).reshape(len(data), width)
+        self.entries = data
+        self.shape = (len(data), len(data[0]) if data else 0)
 
     @property
     def p(self):
@@ -178,68 +172,50 @@ class MatrixZp:
 
     @property
     def rows(self):
-        return self.array.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self):
-        return self.array.shape[1]
+        return self.shape[1]
 
     def entry(self, i, j):
-        return Scalar(int(self.array[i, j]), self.modulus)
+        return Scalar(self.entries[i][j], self.modulus)
 
     def transpose(self):
-        return MatrixZp(self.modulus, self.array.T.tolist())
+        # built directly, since rows alone cannot give a 0 x k shape
+        t = object.__new__(MatrixZp)
+        t.modulus = self.modulus
+        t.entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        t.shape = (self.cols, self.rows)
+        return t
 
     def to_lists(self):
-        return self.array.tolist()
+        return [list(row) for row in self.entries]
 
     def matvec(self, values):
-        vec = [v.value if isinstance(v, Scalar) else int(v) for v in values]
+        vec = [_reduced(v, self.modulus) for v in values]
         if len(vec) != self.cols:
             raise ValueError(f"expected {self.cols} values, got {len(vec)}")
-        prod = self.array @ np.array(vec, dtype=np.int64)
-        return [int(x) % self.p for x in prod]
+        return [sum(a * b for a, b in zip(row, vec)) % self.p for row in self.entries]
 
     def __eq__(self, other):
         return (
             isinstance(other, MatrixZp)
             and self.modulus == other.modulus
-            and self.array.shape == other.array.shape
-            and bool((self.array == other.array).all())
+            and self.shape == other.shape
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.p, self.array.shape, tuple(self.array.ravel())))
+        return hash((self.p, self.shape, self.entries))
 
     def __repr__(self):
-        return f"MatrixZp(mod {self.p}, {self.array.tolist()})"
+        return f"MatrixZp(mod {self.p}, {self.to_lists()})"
 
 
 def rank(matrix):
-    """Rank over Z_p by Gaussian elimination with first-nonzero pivoting."""
-    a = matrix.array.copy()
-    p = matrix.p
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if a[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        for i in range(nrows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        r += 1
-    return r
+    """Rank over Z_p."""
+    return modp_row_rank(matrix.to_lists(), matrix.p)
 
 
 def solve(matrix, rhs):
@@ -248,17 +224,10 @@ def solve(matrix, rhs):
     m = matrix.rows
     if matrix.cols != m:
         raise SingularMatrix(f"matrix is {matrix.rows}x{matrix.cols}, not square")
-    vec = []
-    for v in rhs:
-        if isinstance(v, Scalar):
-            if v.modulus != matrix.modulus:
-                raise ModulusMismatch(f"rhs mod {v.p} against matrix mod {p}")
-            vec.append(v.value)
-        else:
-            vec.append(int(v) % p)
+    vec = [_reduced(v, matrix.modulus) for v in rhs]
     if len(vec) != m:
         raise ValueError(f"rhs has length {len(vec)}, expected {m}")
-    sol = modp_solve_columns(matrix.array.tolist(), [vec], p)[0]
+    sol = modp_solve_columns(matrix.to_lists(), [vec], p)[0]
     return [Scalar(x, matrix.modulus) for x in sol]
 
 
@@ -269,9 +238,41 @@ def inverse(matrix):
     if matrix.cols != m:
         raise SingularMatrix(f"matrix is {matrix.rows}x{matrix.cols}, not square")
     cols = [[int(i == j) for i in range(m)] for j in range(m)]
-    sols = modp_solve_columns(matrix.array.tolist(), cols, p)
+    sols = modp_solve_columns(matrix.to_lists(), cols, p)
     inv_rows = [[sols[j][i] for j in range(m)] for i in range(m)]
     return MatrixZp(matrix.modulus, inv_rows)
+
+
+def _gauss_jordan(work, ncols, p):
+    """Reduce the rows in place over their first ncols columns; return the rank.
+
+    Column by column, the first row at or below the current rank with a
+    nonzero entry becomes the pivot: it is swapped up, scaled to 1 and
+    cleared from every other row.  The first `rank` rows end in reduced
+    row echelon form.
+    """
+    nrows = len(work)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if work[i][c] % p:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = pow(work[r][c], -1, p)
+        work[r] = [x * inv % p for x in work[r]]
+        row_r = work[r]
+        for i in range(nrows):
+            if i != r and work[i][c] % p:
+                f = work[i][c]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], row_r)]
+        r += 1
+    return r
 
 
 def modp_solve_columns(rows, columns, p):
@@ -282,51 +283,15 @@ def modp_solve_columns(rows, columns, p):
     """
     m = len(rows)
     aug = [list(rows[i]) + [col[i] % p for col in columns] for i in range(m)]
-    for c in range(m):
-        piv = None
-        for r in range(c, m):
-            if aug[r][c] % p:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrix(f"rank below {m}")
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        inv = pow(aug[c][c], -1, p)
-        aug[c] = [x * inv % p for x in aug[c]]
-        for r in range(m):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                row_c = aug[c]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], row_c)]
+    if _gauss_jordan(aug, m, p) < m:
+        raise SingularMatrix(f"rank below {m}")
     return [[aug[i][m + k] for i in range(m)] for k in range(len(columns))]
 
 
 def modp_row_rank(rows, p):
-    """Rank of a list of integer rows over Z_p; pure-Python hot path."""
+    """Rank of a list of integer rows over Z_p."""
     work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for c in range(ncols):
-        if r == len(work):
-            break
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % p:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], row_r)]
-        r += 1
-    return r
+    return _gauss_jordan(work, len(work[0]) if work else 0, p)
 
 
 def gf2_row_rank(masks):

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BudgetExceeded, EmptyPointSet
-from .field import gf2_row_rank, modp_row_rank, modp_solve_columns
-from .points import OrderIdealSet, _order_ideal_tuples, eval_monomial
+from .field import modp_solve_columns
+from .points import OrderIdealSet, _order_ideal_tuples, evaluation_rows, rows_invertible
 from .poly import (
     MarkedPolynomial,
     Polynomial,
@@ -313,26 +313,12 @@ def _positive_weight_witness(diffs, nvars):
     return tuple(ints)
 
 
-def _basic_rows(members, pts, p):
-    return [[eval_monomial(v, u, p) for u in members] for v in pts]
-
-
-def _rows_invertible(rows, p):
-    m = len(rows)
-    if m == 0:
-        return True
-    if p == 2:
-        masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
-        return gf2_row_rank(masks) == m
-    return modp_row_rank(rows, p) == m
-
-
 def _basic_staircase_count(points, limit=None):
     p, n, m = points.p, points.n, len(points)
     pts = points.points
     count = 0
     for members in _order_ideal_tuples(p, n, m):
-        if _rows_invertible(_basic_rows(members, pts, p), p):
+        if rows_invertible(evaluation_rows(members, pts, p), p):
             count += 1
             if limit is not None and count >= limit:
                 break
@@ -371,11 +357,11 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
     pts = points.points
     entries = []
     for members in _order_ideal_tuples(p, n, m):
-        rows = _basic_rows(members, pts, p)
-        if not _rows_invertible(rows, p):
+        rows = evaluation_rows(members, pts, p)
+        if not rows_invertible(rows, p):
             continue
         corners = _corners(members, n)
-        corner_vecs = [[eval_monomial(v, c, p) for v in pts] for c in corners]
+        corner_vecs = list(zip(*evaluation_rows(corners, pts, p)))
         tails = modp_solve_columns(rows, corner_vecs, p)
         diffs = []
         for corner, tail in zip(corners, tails):

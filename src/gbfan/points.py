@@ -51,10 +51,36 @@ def eval_monomial(point, exponents, p):
     return out
 
 
+def _has_kind(value, kind):
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_kind(x, kind[0]) for x in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def require(value, kind, what):
+    """A value read from JSON, refused unless it has the given kind.
+
+    A kind is a type, or a one-item list [k] for a list of items of kind
+    k.  A bool never passes as an integer.
+    """
+    if not _has_kind(value, kind):
+        raise ValueError(f"{what}, got {value!r}")
+    return value
+
+
+def require_object(data, keys, what):
+    """Parsed JSON that must be an object holding the given keys."""
+    require(data, dict, f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} lacks the key(s) {', '.join(missing)}")
+    return data
+
+
 class PointSet:
     """Distinct points of Z_p^n, stored in canonical (lexicographic) order."""
 
-    __slots__ = ("p", "n", "points")
+    __slots__ = ("p", "n", "points", "_members")
 
     def __init__(self, p, n, points):
         if not is_prime(p):
@@ -78,6 +104,7 @@ class PointSet:
         self.p = p
         self.n = n
         self.points = tuple(sorted(cleaned))
+        self._members = seen
 
     def __len__(self):
         return len(self.points)
@@ -86,7 +113,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, v):
-        return tuple(v) in set(self.points)
+        return tuple(v) in self._members
 
     def __eq__(self, other):
         return (
@@ -110,9 +137,8 @@ class PointSet:
 
     def complement(self):
         """Points of the ambient box not in this set."""
-        inside = set(self.points)
         return PointSet(
-            self.p, self.n, [v for v in _box(self.p, self.n) if v not in inside]
+            self.p, self.n, [v for v in _box(self.p, self.n) if v not in self._members]
         )
 
     def to_json(self):
@@ -120,7 +146,13 @@ class PointSet:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["p"]), int(data["n"]), data["points"])
+        """Read {"p", "n", "points"}; other keys are ignored."""
+        require_object(data, ("p", "n", "points"), "a point file")
+        return cls(
+            require(data["p"], int, "p must be an integer"),
+            require(data["n"], int, "n must be an integer"),
+            require(data["points"], [[int]], "points must be lists of integers"),
+        )
 
 
 class OrderIdealSet(PointSet):
@@ -130,13 +162,8 @@ class OrderIdealSet(PointSet):
 
     def __init__(self, p, n, members):
         super().__init__(p, n, members)
-        inside = set(self.points)
-        for v in self.points:
-            for j, c in enumerate(v):
-                if c and (*v[:j], c - 1, *v[j + 1 :]) not in inside:
-                    raise ValueError(
-                        f"{list(self.points)} is not downward closed at {v}"
-                    )
+        if not is_staircase(self):
+            raise ValueError(f"{list(self.points)} is not downward closed")
 
     @property
     def members(self):
@@ -181,8 +208,24 @@ def evaluation_matrix(monomials, points, p=None):
     dims = {len(u) for u in mons} | {len(v) for v in pts}
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed ambient dimensions {sorted(dims)}")
-    rows = [[eval_monomial(v, u, p) for u in mons] for v in pts]
-    return MatrixZp(p, rows)
+    return MatrixZp(p, evaluation_rows(mons, pts, p))
+
+
+def evaluation_rows(monomials, points, p):
+    """Row i lists the value of each monomial at the i-th point."""
+    return [[eval_monomial(v, u, p) for u in monomials] for v in points]
+
+
+def rows_invertible(rows, p):
+    """Whether a square list of integer rows is invertible over Z_p.
+
+    Over Z_2 each row is packed into a bit mask for `gf2_row_rank`.
+    """
+    m = len(rows)
+    if p == 2:
+        masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+        return gf2_row_rank(masks) == m
+    return modp_row_rank(rows, p) == m
 
 
 def is_basic(staircase, points):
@@ -191,24 +234,10 @@ def is_basic(staircase, points):
     True exactly when the evaluation matrix is square and invertible.
     """
     mons = _exponent_list(staircase)
-    pts = list(points.points)
-    p = points.p
-    if len(mons) != len(pts):
-        return False
-    if not mons:
-        return True
-    if p == 2:
-        masks = [
-            sum(
-                1 << j
-                for j, u in enumerate(mons)
-                if eval_monomial(v, u, 2)
-            )
-            for v in pts
-        ]
-        return gf2_row_rank(masks) == len(pts)
-    rows = [[eval_monomial(v, u, p) for u in mons] for v in pts]
-    return modp_row_rank(rows, p) == len(pts)
+    pts = points.points
+    return len(mons) == len(pts) and rows_invertible(
+        evaluation_rows(mons, pts, points.p), points.p
+    )
 
 
 def layer(staircase, j, i):

@@ -25,6 +25,27 @@ from gbfan import (
 from gbfan.points import eval_monomial
 
 
+def span_rank(rows, p):
+    """Rank over Z_p read off the size of the row span, which is p^rank.
+
+    The span grows by closure: each row adds every multiple of itself to
+    every vector reached so far.
+    """
+    width = len(rows[0]) if rows else 0
+    span = {(0,) * width}
+    for row in rows:
+        span = {
+            tuple((a + c * b) % p for a, b in zip(vec, row))
+            for vec in span
+            for c in range(p)
+        }
+    size, r = len(span), 0
+    while size > 1:
+        size //= p
+        r += 1
+    return r
+
+
 @lru_cache(maxsize=None)
 def monomial_box(p, n):
     """Exponent vectors with entries up to p, the largest exponent any

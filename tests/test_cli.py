@@ -1,5 +1,8 @@
 import json
 import random
+import time
+
+import pytest
 
 from gbfan import (
     DataSet,
@@ -230,6 +233,61 @@ def test_lac_demo_text(capsys):
     assert code == 0
     assert "f_M = L*Le*Ge" in out
     assert "C1 = {0000, 0100, 1000, 1100}" in out
+
+
+def test_fds_augment_budget(tmp_path, capsys):
+    line = _write(
+        tmp_path, "line.json", {"p": 101, "n": 2, "points": [[1, 1], [2, 2], [3, 3]]}
+    )
+    start = time.perf_counter()
+    code, _, err = _run(capsys, ["fds", "augment", line, "--max-k", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "budget 20000" in err
+    s5 = _write(tmp_path, "s5.json", S5)
+    code, out, _ = _run(capsys, ["fds", "augment", s5, "--max-k", "8"])
+    assert code == 0
+    assert json.loads(out)["k"] == 6
+    code, _, err = _run(
+        capsys, ["fds", "augment", s5, "--max-k", "8", "--max-sets", "100"]
+    )
+    assert code == 3
+    assert "budget 100" in err
+
+
+@pytest.mark.parametrize(
+    "points_file, config, message",
+    [
+        ({"p": 3, "n": 2, "points": [[0, 0], [1.7, 0]]}, None, "1.7"),
+        ({"p": 3, "n": 2, "points": [[0, 0], [True, 0]]}, None, "True"),
+        ({"p": 2.5, "n": 2, "points": [[0, 0]]}, None, "p must be an integer"),
+        ({"p": 3, "n": 2, "points": [[0, None]]}, None, "None"),
+        ([[0, 0], [1, 0]], None, "JSON object"),
+        ({"p": 3, "n": 2}, None, "points"),
+        (TOY, {"foo": 1}, "foo"),
+        (TOY, {"threads": 4}, "threads"),
+    ],
+    ids=[
+        "float-coordinate",
+        "bool-coordinate",
+        "float-p",
+        "null-coordinate",
+        "top-level-array",
+        "missing-points",
+        "unknown-config-key",
+        "threads-config-key",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, points_file, config, message):
+    argv = ["gb", _write(tmp_path, "points.json", points_file), "--order", "grevlex"]
+    if config is not None:
+        argv += ["--config", _write(tmp_path, "config.json", config)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "CSV" not in err
 
 
 def test_invalid_config_rejected(tmp_path, capsys):

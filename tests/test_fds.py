@@ -120,6 +120,9 @@ def test_state_space_structure():
         if tuple(f.evaluate(s) for f in printed) == s
     ]
     assert graph.fixed_points() == expected_fixed
+    for a, b in graph.edges():
+        assert graph.successor(a) == b
+        assert graph.successor(list(a)) == b
 
     ident = FiniteDynamicalSystem(
         2, 2, [Polynomial.variable(2, 2, 0), Polynomial.variable(2, 2, 1)]
@@ -168,6 +171,8 @@ def test_model_select_examples():
     assert not model_select(zero, [(0, 0), (1, 0), (0, 1)], 0)
     with pytest.raises(NotBasic):
         model_select(data, [(0, 0), (0, 1), (0, 2)], 0)
+    with pytest.raises(NotBasic):
+        model_select(data, [(0, 0), (1, 0)], 0)  # not square
     with pytest.raises(KeyError):
         model_select(data, [(0, 0), (1, 0), (0, 1)], 3)
 
@@ -257,6 +262,12 @@ def test_min_augmentation_examples():
 
     assert min_augmentation(toy, 0) is None
 
+    # the budget counts every subset of up to k_max extra points: 1 + 6 + 15
+    assert min_augmentation(toy, 2, max_sets=22) == min_augmentation(toy, 2)
+    with pytest.raises(BudgetExceeded):
+        min_augmentation(toy, 2, max_sets=21)
+    assert min_augmentation(staircase, 3, max_sets=1)[0] == 0
+
 
 def test_dataset_round_trip_and_validation():
     data = DataSet.from_fds(lac_fds(), S5)
@@ -265,6 +276,10 @@ def test_dataset_round_trip_and_validation():
     assert set(data.to_json()["outputs"]) == {"1", "2", "3", "4"}
     with pytest.raises(DimensionMismatch):
         DataSet(S5, {0: (1, 0)})
+    for key in ("0", "5", "x1"):
+        bad = dict(data.to_json(), outputs={key: [0] * len(S5)})
+        with pytest.raises(ValueError, match="not a coordinate"):
+            DataSet.from_json(bad)
 
 
 def test_fds_json_round_trip():

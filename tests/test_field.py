@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from gbfan import (
     solve,
 )
 from gbfan.field import gf2_row_rank, modp_row_rank
+from _oracles import span_rank
 
 
 def test_prime_modulus_validation():
@@ -137,8 +142,9 @@ def test_solve_multiply_back():
 def test_matrix_inverse():
     m = MatrixZp(5, [[1, 2], [3, 4]])
     mi = inverse(m)
+    a, b = m.to_lists(), mi.to_lists()
     prod = [
-        [sum(m.array[i, k] * mi.array[k, j] for k in range(2)) % 5 for j in range(2)]
+        [sum(a[i][k] * b[k][j] for k in range(2)) % 5 for j in range(2)]
         for i in range(2)
     ]
     assert prod == [[1, 0], [0, 1]]
@@ -153,7 +159,8 @@ def test_row_rank_helpers_agree_with_matrix_rank():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        expected = rank(MatrixZp(p, data))
+        expected = span_rank(data, p)
+        assert rank(MatrixZp(p, data)) == expected
         assert modp_row_rank(data, p) == expected
         if p == 2:
             masks = [sum(bit << j for j, bit in enumerate(row)) for row in data]
@@ -166,3 +173,31 @@ def test_matrix_validation():
     m = MatrixZp(7, [[8, -1]])
     assert m.to_lists() == [[1, 6]]
     assert m.entry(0, 1) == Scalar(6, 7)
+
+
+def test_matrix_shape_survives_empty_dimensions():
+    tall = MatrixZp(5, [[], [], []])
+    assert (tall.rows, tall.cols) == (3, 0)
+    wide = tall.transpose()
+    assert (wide.rows, wide.cols) == (0, 3)
+    assert wide.transpose() == tall and wide != MatrixZp(5, [])
+    assert hash(wide.transpose()) == hash(tall)
+
+
+def test_matvec_is_exact_at_the_largest_modulus():
+    p = 2**31 - 1
+    # three products of (p-1)^2 overflow a 64-bit sum; the answer is 3
+    assert MatrixZp(p, [[p - 1] * 3]).matvec([p - 1] * 3) == [3]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, gbfan.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -25,6 +25,7 @@ def test_point_set_canonical_order_and_validation():
     V = PointSet(3, 2, [(2, 1), (0, 0), (1, 0)])
     assert V.points == ((0, 0), (1, 0), (2, 1))
     assert len(V) == 3 and (1, 0) in V
+    assert [2, 1] in V and (2, 2) not in V and [0, 1] not in V
     with pytest.raises(ValueError):
         PointSet(3, 2, [(0, 0), (0, 0)])
     with pytest.raises(ValueError):
