@@ -267,9 +267,9 @@ def weak_components(graph):
 class DataSet:
     """Input points with one output sequence per observed coordinate.
 
-    Outputs are aligned with the canonical order of the inputs; the JSON
-    form keys coordinates 1-based to match the x1..xn naming while the
-    API indexes them 0-based.
+    Outputs are aligned with the canonical order of the inputs and must
+    lie in [0, p), as coordinates must; the JSON form keys coordinates
+    1-based to match the x1..xn naming while the API indexes them 0-based.
     """
 
     __slots__ = ("p", "n", "inputs", "outputs")
@@ -280,11 +280,16 @@ class DataSet:
         self.inputs = inputs
         tidy = {}
         for j, values in outputs.items():
-            vals = tuple(int(x) % self.p for x in values)
+            vals = tuple(int(x) for x in values)
             if len(vals) != len(inputs):
                 raise DimensionMismatch(
                     f"{len(vals)} outputs for coordinate {j}, expected {len(inputs)}"
                 )
+            for x in vals:
+                if not 0 <= x < self.p:
+                    raise ValueError(
+                        f"outputs for x{int(j) + 1} must lie in [0, {self.p}), got {x}"
+                    )
             tidy[int(j)] = vals
         self.outputs = tidy
 
@@ -399,12 +404,14 @@ def min_augmentation(points, k_max, max_sets=20000):
     Complement subsets are scanned by size and then lexicographically;
     the first subset whose union with the points leaves a single basic
     staircase wins.  Returns (k, witness) or None when k_max is exhausted.
-    Unless the points already have a unique basis, raises BudgetExceeded
-    before any scan when the subsets of up to k_max points number more
-    than max_sets.
+    A negative k_max raises ValueError.  Unless the points already have a
+    unique basis, raises BudgetExceeded before any scan when the subsets
+    of up to k_max points number more than max_sets.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
+    if k_max < 0:
+        raise ValueError(f"max_k must be nonnegative, got {k_max}")
     if _basic_staircase_count(points, limit=2) == 1:
         return 0, PointSet(points.p, points.n, ())
     free = points.p**points.n - len(points)

@@ -294,18 +294,42 @@ def modp_row_rank(rows, p):
     return _gauss_jordan(work, len(work[0]) if work else 0, p)
 
 
+def modp_reduce(vec, basis, p):
+    """Reduce a vector in place against echelon rows; return the multipliers.
+
+    `basis` lists (pivot, row) pairs in the order the rows were found: each
+    row is 1 at its own pivot and 0 at the pivots of the rows before it.
+    The multiplier of a row is what was subtracted of it, 0 when skipped.
+    """
+    coeffs = []
+    for piv, row in basis:
+        c = vec[piv]
+        if c:
+            for i in range(len(vec)):
+                vec[i] = (vec[i] - c * row[i]) % p
+        coeffs.append(c)
+    return coeffs
+
+
+def gf2_reduce(mask, pivots):
+    """Reduce a bit mask against pivot masks keyed by their highest bit.
+
+    The result is 0 when the mask lies in their span over Z_2; otherwise
+    no pivot holds its highest bit.
+    """
+    while mask:
+        other = pivots.get(mask.bit_length() - 1)
+        if other is None:
+            break
+        mask ^= other
+    return mask
+
+
 def gf2_row_rank(masks):
     """Rank over Z_2 of rows packed as integer bit masks."""
     pivots = {}
-    r = 0
     for mask in masks:
-        cur = mask
-        while cur:
-            hb = cur.bit_length() - 1
-            other = pivots.get(hb)
-            if other is None:
-                pivots[hb] = cur
-                r += 1
-                break
-            cur ^= other
-    return r
+        cur = gf2_reduce(mask, pivots)
+        if cur:
+            pivots[cur.bit_length() - 1] = cur
+    return len(pivots)

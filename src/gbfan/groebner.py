@@ -5,9 +5,12 @@ Buchberger-Moeller interpolation over the points: monomials are tested in
 ascending order, each only once it lies on the border of the staircase
 grown so far, so the work grows with the number of points and variables
 and not with p.  The complete collection over all orders (the algebraic
-fan) comes from testing every basic staircase for coherence with a
-strictly positive weight vector, using exact rational inequality
-elimination, followed by a verification run of the interpolation.
+fan) comes from a depth-first walk over the basic staircases alone,
+pruned as soon as the value vectors of a partial staircase become
+dependent.  Each is tested for coherence with a strictly positive weight
+vector, using exact rational inequality elimination, and its basis is
+read off the interpolated corner tails, under a certificate that each
+tail lies below its corner in the witness order.
 """
 
 import heapq
@@ -16,8 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BudgetExceeded, EmptyPointSet
-from .field import modp_solve_columns
-from .points import OrderIdealSet, _order_ideal_tuples, evaluation_rows, rows_invertible
+from .field import gf2_reduce, modp_reduce, modp_solve_columns
+from .points import OrderIdealSet, walk_staircases
 from .poly import (
     MarkedPolynomial,
     Polynomial,
@@ -138,9 +141,8 @@ def bm_reduced_gb(points, order):
     queued = {one}
 
     sm = []
-    reduced_rows = []
+    basis = []
     row_combos = []
-    pivots = []
     generators = []
     leads = []
 
@@ -155,11 +157,8 @@ def bm_reduced_gb(points, order):
             continue
         residual = list(values)
         acc = [0] * len(sm)
-        for row, combo, piv in zip(reduced_rows, row_combos, pivots):
-            c = residual[piv]
+        for c, combo in zip(modp_reduce(residual, basis, p), row_combos):
             if c:
-                for i in range(m):
-                    residual[i] = (residual[i] - c * row[i]) % p
                 for j in range(len(combo)):
                     acc[j] = (acc[j] + c * combo[j]) % p
         piv = next((i for i, x in enumerate(residual) if x), None)
@@ -172,11 +171,10 @@ def bm_reduced_gb(points, order):
             leads.append(u)
         else:
             inv = pow(residual[piv], -1, p)
-            reduced_rows.append([x * inv % p for x in residual])
+            basis.append((piv, [x * inv % p for x in residual]))
             combo = [(-x * inv) % p for x in acc]
             combo.append(inv % p)
             row_combos.append(combo)
-            pivots.append(piv)
             sm.append(u)
             for j in range(n):
                 w = u[:j] + (u[j] + 1,) + u[j + 1 :]
@@ -313,15 +311,90 @@ def _positive_weight_witness(diffs, nvars):
     return tuple(ints)
 
 
-def _basic_staircase_count(points, limit=None):
+class _Values(dict):
+    """Value vector over the points of each monomial looked up.
+
+    A monomial's vector is that of a divisor times one coordinate column,
+    so each costs one pass over the points and none calls eval_monomial.
+    Over Z_p a vector is a tuple; for the Z_2 walk it is a bit mask, bit i
+    standing for point i, and the product is a bitwise and.
+    """
+
+    def __init__(self, points, masks=False):
+        super().__init__()
+        n, m = points.n, len(points)
+        columns = list(zip(*points.points))
+        if masks:
+            self.columns = [sum(c << i for i, c in enumerate(col)) for col in columns]
+            self[(0,) * n] = (1 << m) - 1
+        else:
+            self.columns = columns
+            self.p = points.p
+            self[(0,) * n] = (1,) * m
+        self.masks = masks
+
+    def __missing__(self, u):
+        j = next(j for j, e in enumerate(u) if e)
+        parent = self[u[:j] + (u[j] - 1,) + u[j + 1 :]]
+        if self.masks:
+            vec = parent & self.columns[j]
+        else:
+            p = self.p
+            vec = tuple(x * c % p for x, c in zip(parent, self.columns[j]))
+        self[u] = vec
+        return vec
+
+
+def _basic_staircases(points):
+    """Every staircase of |V| monomials with an invertible evaluation matrix.
+
+    The staircase walk, in the lex order of `enumerate_order_ideals`, where
+    a monomial joins only when its value vector is independent of the
+    members' vectors: those are kept as echelon pivots, pushed on the way
+    down and popped on the way back.  Every subset of a basic staircase has
+    independent vectors, so a dependent branch is dropped at once.  Yields
+    member tuples.
+    """
     p, n, m = points.p, points.n, len(points)
-    pts = points.points
+    if p == 2:
+        values = _Values(points, masks=True)
+        pivots = {}
+
+        def push(u):
+            mask = gf2_reduce(values[u], pivots)
+            if not mask:
+                return None
+            key = mask.bit_length() - 1
+            pivots[key] = mask
+            return key
+
+        pop = pivots.pop
+    else:
+        values = _Values(points)
+        basis = []
+
+        def push(u):
+            vec = list(values[u])
+            modp_reduce(vec, basis, p)
+            piv = next((i for i, x in enumerate(vec) if x), None)
+            if piv is None:
+                return None
+            inv = pow(vec[piv], -1, p)
+            basis.append((piv, [x * inv % p for x in vec]))
+            return piv
+
+        def pop(_):
+            basis.pop()
+
+    return walk_staircases(p, n, m, push, pop)
+
+
+def _basic_staircase_count(points, limit=None):
     count = 0
-    for members in _order_ideal_tuples(p, n, m):
-        if rows_invertible(evaluation_rows(members, pts, p), p):
-            count += 1
-            if limit is not None and count >= limit:
-                break
+    for _ in _basic_staircases(points):
+        count += 1
+        if count == limit:
+            break
     return count
 
 
@@ -341,28 +414,30 @@ def is_unique_gb(points):
 def all_reduced_gbs(points, max_box=64, max_points=16):
     """Every distinct reduced Groebner basis of the vanishing ideal.
 
-    Candidates are the staircases of size |V| whose evaluation matrix is
-    invertible.  A candidate is kept when a strictly positive weight
-    vector makes every corner larger than its interpolated tail; the
-    witness then drives a verification interpolation whose staircase must
-    reproduce the candidate.
+    Candidates are the basic staircases of size |V|, from the pruned walk
+    over [0, min(p, |V|))^n; `max_box` bounds the size of that box.  Each
+    corner c of a candidate is interpolated over the staircase, and the
+    candidate is kept when a strictly positive weight vector makes every
+    corner larger than each term of its tail.  The basis is then read off
+    those tails, one generator c - tail(c) per corner, sorted by the
+    witness order.  A certificate checks that each tail term lies below
+    its corner in that order: the generators vanish on the points and lead
+    at the corners, so the standard monomials are exactly the staircase.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
     p, n, m = points.p, points.n, len(points)
-    if p**n > max_box:
-        raise BudgetExceeded(f"box size {p**n} exceeds the budget {max_box}")
+    box = min(p, m) ** n
+    if box > max_box:
+        raise BudgetExceeded(f"box size {box} exceeds the budget {max_box}")
     if m > max_points:
         raise BudgetExceeded(f"{m} points exceed the budget {max_points}")
-    pts = points.points
+    values = _Values(points)
     entries = []
-    for members in _order_ideal_tuples(p, n, m):
-        rows = evaluation_rows(members, pts, p)
-        if not rows_invertible(rows, p):
-            continue
+    for members in _basic_staircases(points):
         corners = _corners(members, n)
-        corner_vecs = list(zip(*evaluation_rows(corners, pts, p)))
-        tails = modp_solve_columns(rows, corner_vecs, p)
+        rows = list(zip(*(values[u] for u in members)))
+        tails = modp_solve_columns(rows, [values[c] for c in corners], p)
         diffs = []
         for corner, tail in zip(corners, tails):
             for u, coeff in zip(members, tail):
@@ -371,12 +446,22 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
         witness = _positive_weight_witness(diffs, n)
         if witness is None:
             continue
-        basis = bm_reduced_gb(points, WeightOrder(witness))
-        if basis.standard_monomials.points != members:
-            raise RuntimeError(
-                "witness verification disagrees with the candidate staircase"
-            )
-        entries.append(FanEntry(basis.standard_monomials, basis, witness))
+        order = WeightOrder(witness)
+        key = {u: order.key(u) for u in (*members, *corners)}
+        generators = []
+        for corner, tail in sorted(zip(corners, tails), key=lambda ct: key[ct[0]]):
+            terms = {corner: 1}
+            for u, coeff in zip(members, tail):
+                if coeff:
+                    if key[u] >= key[corner]:
+                        raise RuntimeError(
+                            f"tail term {u} does not lie below its corner {corner}"
+                        )
+                    terms[u] = p - coeff
+            generators.append(MarkedPolynomial(Polynomial(p, n, terms), corner))
+        staircase = OrderIdealSet(p, n, members)
+        basis = ReducedGroebnerBasis(order, generators, staircase)
+        entries.append(FanEntry(staircase, basis, witness))
     entries.sort(key=lambda e: e.standard_monomials.points)
     return AlgebraicFan(points, entries)
 

@@ -258,36 +258,54 @@ def height(staircase, j):
 
 
 @lru_cache(maxsize=None)
-def _order_ideal_tuples(p, n, m):
-    box = _box(p, n)
-    out = []
+def _box_with_divisors(q, n):
+    """The box [0, q)^n in lex order, each member with its divisors u/x_j."""
+    return tuple(
+        (v, tuple(v[:j] + (c - 1,) + v[j + 1 :] for j, c in enumerate(v) if c))
+        for v in _box(q, n)
+    )
+
+
+def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
+    """Yield the m-member staircases inside [0, p)^n as sorted member tuples.
+
+    Depth-first, in lex order of the member lists, inside [0, min(p, m))^n,
+    which holds every staircase of m members.  A monomial joins once its
+    divisors have and `push(v)` does not return None; whatever it returns
+    goes to `pop` when the walk backtracks past v.  A push that refuses
+    drops every staircase extending the current members by v.
+    """
+    box = _box_with_divisors(min(p, m), n)
     chosen = []
     chosen_set = set()
 
     def extend(start):
         if len(chosen) == m:
-            out.append(tuple(chosen))
+            yield tuple(chosen)
             return
         # lexicographic prefixes of a staircase are staircases, so growing
-        # past the last chosen element reaches every staircase exactly once
-        for idx in range(start, len(box)):
-            if len(box) - idx < m - len(chosen):
-                break
-            v = box[idx]
-            ok = True
-            for j, c in enumerate(v):
-                if c and (*v[:j], c - 1, *v[j + 1 :]) not in chosen_set:
-                    ok = False
+        # past the last member reaches every staircase exactly once
+        for idx in range(start, len(box) - (m - len(chosen)) + 1):
+            v, divisors = box[idx]
+            for d in divisors:
+                if d not in chosen_set:
                     break
-            if ok:
-                chosen.append(v)
-                chosen_set.add(v)
-                extend(idx + 1)
-                chosen_set.discard(v)
-                chosen.pop()
+            else:
+                key = push(v)
+                if key is not None:
+                    chosen.append(v)
+                    chosen_set.add(v)
+                    yield from extend(idx + 1)
+                    chosen_set.discard(v)
+                    chosen.pop()
+                    pop(key)
 
-    extend(0)
-    return tuple(out)
+    return extend(0)
+
+
+@lru_cache(maxsize=None)
+def _order_ideal_tuples(p, n, m):
+    return tuple(walk_staircases(p, n, m))
 
 
 def enumerate_order_ideals(p, n, m):

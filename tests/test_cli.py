@@ -290,6 +290,46 @@ def test_malformed_input_exits_2(tmp_path, capsys, points_file, config, message)
     assert "CSV" not in err
 
 
+def _one_line_error(code, out, err, message):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_negative_augmentation_size_exits_2(tmp_path, capsys):
+    pair = _write(tmp_path, "pair.json", {"p": 2, "n": 2, "points": [[0, 1], [1, 0]]})
+    _one_line_error(
+        *_run(capsys, ["fds", "augment", pair, "--max-k", "-3"]), "max_k must be nonnegative"
+    )
+    cfg = _write(tmp_path, "config.json", {"max_augment": -3})
+    _one_line_error(
+        *_run(capsys, ["fds", "augment", pair, "--config", cfg]), "max_augment"
+    )
+
+
+def test_outputs_outside_the_field_exit_2(tmp_path, capsys):
+    data = {"p": 2, "n": 2, "points": [[0, 0], [1, 0]], "outputs": {"1": [5, 0]}}
+    path = _write(tmp_path, "data.json", data)
+    _one_line_error(
+        *_run(capsys, ["fds", "select", path, "--order", "grevlex"]), "[0, 2)"
+    )
+
+
+def test_fan_budget_sizes_the_searched_box(tmp_path, capsys):
+    # staircases of m points lie in [0, min(p, m))^n, here [0, 2)^2, so the
+    # default budget of 64 admits two points at any p
+    pair = {"p": LARGE_P, "n": 2, "points": [[0, 0], [1, 1]]}
+    code, out, _ = _run(capsys, ["fan", _write(tmp_path, "pair.json", pair)])
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [e["sm"] for e in entries] == [[[0, 0], [0, 1]], [[0, 0], [1, 0]]]
+    three = {"p": 3, "n": 4, "points": [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]}
+    code, _, err = _run(capsys, ["fan", _write(tmp_path, "three.json", three)])
+    assert code == 3
+    assert "box size 81 exceeds the budget 64" in err
+
+
 def test_invalid_config_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"max_box": -1}))

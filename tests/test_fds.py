@@ -261,6 +261,8 @@ def test_min_augmentation_examples():
     assert is_unique_gb(toy.union(witness.points))[0]
 
     assert min_augmentation(toy, 0) is None
+    with pytest.raises(ValueError, match="nonnegative"):
+        min_augmentation(toy, -1)
 
     # the budget counts every subset of up to k_max extra points: 1 + 6 + 15
     assert min_augmentation(toy, 2, max_sets=22) == min_augmentation(toy, 2)
@@ -280,6 +282,10 @@ def test_dataset_round_trip_and_validation():
         bad = dict(data.to_json(), outputs={key: [0] * len(S5)})
         with pytest.raises(ValueError, match="not a coordinate"):
             DataSet.from_json(bad)
+    # outputs are refused outside [0, p), as coordinates are, not reduced
+    for value in (2, 5, -1):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+            DataSet(S5, {1: (value, 0, 0, 0, 0)})
 
 
 def test_fds_json_round_trip():

@@ -19,6 +19,7 @@ from gbfan import (
     box_points,
     enumerate_order_ideals,
     ideal_membership,
+    is_basic,
     is_unique_gb,
     normal_form,
     parse_polynomial,
@@ -26,6 +27,7 @@ from gbfan import (
     universal_basis,
     verify_reduced_gb,
 )
+from gbfan.groebner import _basic_staircases
 from _oracles import (
     box_scan_reduced_gb,
     random_point_set,
@@ -121,12 +123,16 @@ def test_fan_staircase_and_s5():
 
 
 def test_fan_budget():
-    with pytest.raises(BudgetExceeded):
-        all_reduced_gbs(PointSet(3, 4, [(0, 0, 0, 0)]))
+    # the budget bounds the box [0, min(p, m))^n the walk searches: 3 points
+    # in Z_3^4 give 3^4 = 81 > 64, while one point gives 1^4 = 1
+    three = PointSet(3, 4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
+    with pytest.raises(BudgetExceeded, match="box size 81"):
+        all_reduced_gbs(three)
+    assert len(all_reduced_gbs(PointSet(3, 4, [(0, 0, 0, 0)]))) == 1
     with pytest.raises(BudgetExceeded):
         all_reduced_gbs(PointSet(2, 2, [(0, 0), (0, 1)]), max_points=1)
     # overridable
-    assert len(all_reduced_gbs(PointSet(3, 4, [(0, 0, 0, 0)]), max_box=100)) == 1
+    assert len(all_reduced_gbs(three, max_box=100)) == 1
 
 
 def test_is_unique_gb_examples():
@@ -288,6 +294,28 @@ def test_uniqueness_fast_path_matches_fan_size():
         fan = all_reduced_gbs(V)
         assert unique == (len(fan) == 1)
         assert count >= len(fan)  # basic staircases include all initial ones
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 1), (2, 5)]
+)
+def test_pruned_walk_and_tail_bases_match_oracles(p, n):
+    # the walk yields exactly the basic staircases of the unpruned filter, in
+    # its order; each fan basis read off the tails equals a fresh
+    # interpolation at its witness; and the count-only path agrees
+    rng = random.Random(500 + 10 * p + n)
+    box = box_points(p, n)
+    sets = [PointSet(p, n, [rng.choice(box)]), PointSet(p, n, box)]
+    sets += [random_point_set(rng, p, n, max_size=12) for _ in range(30)]
+    for V in sets:
+        m = len(V)
+        basic = [s.points for s in enumerate_order_ideals(p, n, m) if is_basic(s, V)]
+        assert list(_basic_staircases(V)) == basic, V
+        fan = all_reduced_gbs(V, max_box=p**n, max_points=m)
+        for entry in fan.entries:
+            redo = bm_reduced_gb(V, WeightOrder(entry.witness_weight))
+            assert entry.basis == redo, (V, entry.witness_weight)
+        assert is_unique_gb(V) == (len(fan) == 1, len(basic))
 
 
 def test_structural_invariants_on_random_bases():
