@@ -54,9 +54,11 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for attr in ("max_box", "max_points", "max_sets", "max_augment"):
+        for attr in ("max_box", "max_points", "max_sets"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be positive")
+        if self.max_augment < 0:
+            raise ValueError("max_augment must be nonnegative")
         if self.names is not None and len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         if self.format not in FORMATS:

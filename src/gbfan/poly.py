@@ -111,7 +111,8 @@ class WeightOrder(MonomialOrder):
     """Order by a strictly positive rational weight vector.
 
     Ties are broken lexicographically through the tie permutation, which
-    defaults to x1 above x2 above the rest.
+    defaults to x1 above x2 above the rest.  The empty vector orders the
+    one monomial in no variables.
     """
 
     kind = "weight"
@@ -123,8 +124,6 @@ class WeightOrder(MonomialOrder):
             if f <= 0:
                 raise ValueError(f"weights must be positive, got {w}")
             ws.append(int(f) if f.denominator == 1 else f)
-        if not ws:
-            raise ValueError("empty weight vector")
         self.weights = tuple(ws)
         self.tie = (
             tuple(range(len(ws))) if tie is None else _check_permutation(tie)

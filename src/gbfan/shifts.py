@@ -3,16 +3,19 @@
 A linear shift acts coordinate-wise as x_i -> a_i x_i + b_i with every
 a_i invertible, so it is a bijection of Z_p^n and an equivalence relation
 on point sets of equal size.  Shifted point sets have the same number of
-reduced Groebner bases, which the classification sweep exploits by
-computing one fan per equivalence class.
+reduced Groebner bases, and so do point sets with permuted coordinates;
+the classification sweep computes one fan per orbit of the group those
+maps generate.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .errors import BudgetExceeded, DimensionMismatch, ModulusMismatch
+from .field import is_prime
 from .points import PointSet, box_points, enumerate_order_ideals
 from .poly import Polynomial
 
@@ -233,12 +236,42 @@ class ClassificationReport:
         return data
 
 
+def _offset_tables(p, n):
+    """Per coordinate j, one table per scale/offset pair (a, b) of the shift
+    group: entry c is ((a c + b) mod p) * p^(n-1-j), the share of coordinate
+    value c in the image's box index.  The tables hold n * p(p-1) * p
+    entries, whatever the group order."""
+    pairs = [(a, b) for a in range(1, p) for b in range(p)]
+    return [
+        [tuple((a * c + b) % p * p ** (n - 1 - j) for c in range(p)) for a, b in pairs]
+        for j in range(n)
+    ]
+
+
+def _index_orbit(points, tables):
+    """Every image of a point set under the shift group, as sorted tuples of
+    indices into `box_points(p, n)`, in ascending order.
+
+    A shift's image of a point has index sum_j T_j[(a_j, b_j)][v_j].  The
+    images are summed one coordinate at a time, and pairs that move this
+    set's column alike are taken once.
+    """
+    images = [(0,) * len(points)]
+    for column, table in zip(zip(*points), tables):
+        moves = {tuple(t[c] for c in column) for t in table}
+        images = [tuple(map(add, image, move)) for image in images for move in moves]
+    return sorted({tuple(sorted(image)) for image in images})
+
+
 def shift_orbit(p, n, points):
     """Every image of a point set under the shift group, canonically sorted."""
-    pts = [tuple(int(c) for c in v) for v in points]
-    return sorted(
-        {tuple(sorted(shift.apply_point(v) for v in pts)) for shift in all_shifts(p, n)}
-    )
+    pts = [tuple(int(c) % p for c in v) for v in points]
+    if any(len(v) != n for v in pts):
+        raise DimensionMismatch(f"points of length other than {n}")
+    box = box_points(p, n)
+    return [
+        tuple(box[i] for i in image) for image in _index_orbit(pts, _offset_tables(p, n))
+    ]
 
 
 def _unrank_combination(index, items, m):
@@ -264,12 +297,31 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
 
     Each class is summarized by its lexicographically smallest member,
     its orbit size, and the number of reduced bases of that
-    representative; shifted sets share that count, so one fan per class
-    suffices.  With sample=k, k subsets are drawn without replacement
-    using the seed and only the drawn sets are tallied.
+    representative.  With sample=k, k subsets are drawn without
+    replacement using the seed and only the drawn sets are tallied.
+
+    Subsets are sorted tuples of indices into `box_points(p, n)`.  The
+    basis count is shared by every class in one orbit of the group
+    generated by shifts and coordinate permutations: a permutation of the
+    variables carries the vanishing ideal of V onto that of the permuted
+    set, and its fan onto the permuted fan.  So one fan is computed per
+    such orbit, whose shift classes are reached from the fan's class by
+    adjacent coordinate swaps.  `max_sets` bounds the population of an
+    exhaustive sweep, the shift group's order (each new class costs that
+    many images) and the subsets held for sharing.
     """
     from .groebner import all_reduced_gbs
 
+    if not is_prime(p):
+        raise ValueError(f"p must be prime: {p}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample size must be positive: {sample}")
+    group_order = (p * (p - 1)) ** n
+    if group_order > max_sets:
+        raise BudgetExceeded(
+            f"shift group of order {group_order} exceeds the budget {max_sets}; "
+            "raise max_sets"
+        )
     box = box_points(p, n)
     population = comb(len(box), m)
     if sample is None:
@@ -278,46 +330,66 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
                 f"{population} subsets exceed the budget {max_sets}; "
                 "raise max_sets or use sampling"
             )
-        subsets = itertools.combinations(box, m)
+        subsets = itertools.combinations(range(len(box)), m)
         total = population
         mode = "exhaustive"
     else:
-        if sample < 1:
-            raise ValueError(f"sample size must be positive: {sample}")
         k = min(sample, population)
         rng = random.Random(seed)
         ranks = sorted(rng.sample(range(population), k))
-        subsets = (_unrank_combination(r, box, m) for r in ranks)
+        subsets = (_unrank_combination(r, range(len(box)), m) for r in ranks)
         total = k
         mode = "sample"
 
     budget = fan_budget or {}
-    shifts = list(all_shifts(p, n))
+    tables = _offset_tables(p, n)
+    # Swapping coordinates j and j+1 of point v moves its index by
+    # (v[j+1] - v[j]) * steps[j].
+    steps = [(p - 1) * p ** (n - 2 - j) for j in range(n - 1)]
     class_of = {}
-    classes = []
+
+    def register(orbit, gb_count):
+        entry = ShiftClass(
+            representative=tuple(box[i] for i in orbit[0]),
+            size=len(orbit),
+            gb_count=gb_count,
+            unique=gb_count == 1,
+        )
+        for member in orbit:
+            class_of[member] = entry
+        return entry
+
+    def share(rep, gb_count):
+        """Register, with the same count, every shift class reached from the
+        class of rep by adjacent swaps, while the registry holds at most
+        max_sets subsets."""
+        pending = [rep]
+        while pending:
+            rep = pending.pop()
+            for j, step in enumerate(steps):
+                image = tuple(sorted(i + (box[i][j + 1] - box[i][j]) * step for i in rep))
+                if image in class_of:
+                    continue
+                reached = _index_orbit([box[i] for i in image], tables)
+                if len(class_of) + len(reached) > max_sets:
+                    return
+                register(reached, gb_count)
+                pending.append(reached[0])
+
+    hit = set()
     unique_sets = 0
     for subset in subsets:
         entry = class_of.get(subset)
         if entry is None:
-            orbit = {
-                tuple(sorted(shift.apply_point(v) for v in subset))
-                for shift in shifts
-            }
-            rep = min(orbit)  # orbit regenerable on demand via shift_orbit
-            fan = all_reduced_gbs(PointSet(p, n, rep), **budget)
-            entry = ShiftClass(
-                representative=rep,
-                size=len(orbit),
-                gb_count=len(fan),
-                unique=len(fan) == 1,
-            )
-            classes.append(entry)
-            for member in orbit:
-                class_of[member] = entry
+            orbit = _index_orbit([box[i] for i in subset], tables)
+            fan = all_reduced_gbs(PointSet(p, n, [box[i] for i in orbit[0]]), **budget)
+            entry = register(orbit, len(fan))
+            share(orbit[0], entry.gb_count)
+        hit.add(entry)
         if entry.unique:
             unique_sets += 1
 
-    classes.sort(key=lambda c: c.representative)
+    classes = sorted(hit, key=lambda c: c.representative)
     return ClassificationReport(
         p=p,
         n=n,

@@ -8,21 +8,28 @@ staircase feasibility.
 
 import itertools
 import math
+import random
 from functools import lru_cache
 
 from gbfan import (
+    BudgetExceeded,
+    ClassificationReport,
     LinearShift,
     MarkedPolynomial,
     OrderIdealSet,
     PointSet,
     Polynomial,
     ReducedGroebnerBasis,
+    ShiftClass,
     WeightOrder,
+    all_reduced_gbs,
+    all_shifts,
     bm_reduced_gb,
     box_points,
     divides,
 )
 from gbfan.points import eval_monomial
+from gbfan.shifts import _unrank_combination
 
 
 def span_rank(rows, p):
@@ -247,4 +254,72 @@ def random_shift(rng, p, n):
         p,
         [rng.randrange(1, p) for _ in range(n)],
         [rng.randrange(p) for _ in range(n)],
+    )
+
+
+def orbit_classify_reference(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
+    """The shift classification with one fan per shift class.
+
+    Every orbit is built point by point with `LinearShift.apply_point` over
+    the listed shift group, as sorted point tuples; no count is shared
+    across coordinate permutations.  The reference for `classify`.
+    """
+    box = box_points(p, n)
+    population = math.comb(len(box), m)
+    if sample is None:
+        if population > max_sets:
+            raise BudgetExceeded(
+                f"{population} subsets exceed the budget {max_sets}; "
+                "raise max_sets or use sampling"
+            )
+        subsets = itertools.combinations(box, m)
+        total = population
+        mode = "exhaustive"
+    else:
+        if sample < 1:
+            raise ValueError(f"sample size must be positive: {sample}")
+        k = min(sample, population)
+        rng = random.Random(seed)
+        ranks = sorted(rng.sample(range(population), k))
+        subsets = (_unrank_combination(r, box, m) for r in ranks)
+        total = k
+        mode = "sample"
+
+    budget = fan_budget or {}
+    shifts = list(all_shifts(p, n))
+    class_of = {}
+    classes = []
+    unique_sets = 0
+    for subset in subsets:
+        entry = class_of.get(subset)
+        if entry is None:
+            orbit = {
+                tuple(sorted(shift.apply_point(v) for v in subset))
+                for shift in shifts
+            }
+            rep = min(orbit)
+            fan = all_reduced_gbs(PointSet(p, n, rep), **budget)
+            entry = ShiftClass(
+                representative=rep,
+                size=len(orbit),
+                gb_count=len(fan),
+                unique=len(fan) == 1,
+            )
+            classes.append(entry)
+            for member in orbit:
+                class_of[member] = entry
+        if entry.unique:
+            unique_sets += 1
+
+    classes.sort(key=lambda c: c.representative)
+    return ClassificationReport(
+        p=p,
+        n=n,
+        m=m,
+        total=total,
+        classes=tuple(classes),
+        unique_sets=unique_sets,
+        unique_fraction=unique_sets / total if total else 0.0,
+        mode=mode,
+        seed=seed if mode == "sample" else None,
     )

@@ -141,6 +141,18 @@ def test_classify_command_and_budget(capsys):
     assert "budget" in err.lower() or "exceed" in err.lower()
 
 
+def test_classify_group_budget(capsys):
+    # (101 * 100)^3 shifts: refused before any of them is listed
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys, ["classify", "--p", "101", "--n", "3", "--m", "2", "--sample", "3"]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "shift group of order 1030301000000 exceeds the budget 20000" in err
+
+
 def test_classify_deterministic_output(capsys):
     argv = ["classify", "--p", "2", "--n", "2", "--m", "2"]
     _, out1, _ = _run(capsys, argv)
@@ -306,6 +318,24 @@ def test_negative_augmentation_size_exits_2(tmp_path, capsys):
     _one_line_error(
         *_run(capsys, ["fds", "augment", pair, "--config", cfg]), "max_augment"
     )
+
+
+def test_config_allows_no_augmentation(tmp_path, capsys):
+    pair = _write(tmp_path, "pair.json", {"p": 2, "n": 2, "points": [[0, 1], [1, 0]]})
+    cfg = _write(tmp_path, "config.json", {"max_augment": 0})
+    code, out, _ = _run(capsys, ["fds", "augment", pair, "--config", cfg])
+    assert code == 0
+    assert json.loads(out) == {"exhausted": True, "max_k": 0}
+
+
+def test_fan_and_unique_in_no_variables(tmp_path, capsys):
+    origin = _write(tmp_path, "origin.json", {"p": 3, "n": 0, "points": [[]]})
+    code, out, _ = _run(capsys, ["fan", origin])
+    assert code == 0
+    assert json.loads(out)["entries"] == [{"sm": [[]], "gb": [], "witness_weight": []}]
+    code, out, _ = _run(capsys, ["unique", origin])
+    assert code == 0
+    assert json.loads(out) == {"unique": True, "gb_count": 1}
 
 
 def test_outputs_outside_the_field_exit_2(tmp_path, capsys):

@@ -24,11 +24,13 @@ from gbfan import (
     find_staircase_shift,
     invert_shift,
     parse_polynomial,
+    shift_orbit,
 )
 from _oracles import (
     all_shift_list,
     brute_force_detect,
     brute_force_staircase_shift,
+    orbit_classify_reference,
     random_point_set,
     random_shift,
 )
@@ -281,3 +283,100 @@ def test_classification_report_json_schema():
     assert json.dumps(data)
     first = data["classes"][0]
     assert set(first) == {"rep", "size", "gb_count", "unique"}
+
+
+def test_classify_group_budget():
+    # the group (p(p-1))^n is refused before any shift is listed
+    with pytest.raises(BudgetExceeded, match="order 1030301000000"):
+        classify(101, 3, 2, sample=3)
+    with pytest.raises(BudgetExceeded, match="order 74088"):
+        classify(7, 3, 2, sample=3)
+    assert classify(7, 3, 2, sample=3, max_sets=74088).total == 3
+
+
+# (p, n, m, sample, seed, max_sets): exhaustive sweeps, sampled sweeps, and
+# sweeps whose max_sets stops the sharing across permutations early
+REFERENCE_CASES = (
+    [(2, 2, m, None, 0, 20000) for m in range(1, 5)]
+    + [(2, 3, m, None, 0, 20000) for m in range(1, 9)]
+    + [(3, 2, m, None, 0, 20000) for m in range(1, 10)]
+    + [
+        (2, 4, 8, None, 0, 20000),
+        (2, 0, 1, None, 0, 20000),
+        (2, 4, 5, 300, 0, 20000),
+        (2, 4, 7, 150, 1, 20000),
+        (3, 3, 4, 150, 2, 20000),
+        (3, 3, 5, 80, 3, 20000),
+        (5, 2, 3, 200, 4, 20000),
+        (2, 5, 6, 60, 5, 20000),
+        (7, 2, 4, 40, 6, 20000),
+        (5, 2, 4, 100, 9, 20000),
+        (2, 4, 6, 150, 7, 64),
+        (3, 3, 3, 100, 8, 216),
+        (2, 5, 3, 200, 10, 400),
+    ]
+)
+
+
+@pytest.mark.parametrize("p, n, m, sample, seed, max_sets", REFERENCE_CASES)
+def test_classify_matches_orbit_reference(p, n, m, sample, seed, max_sets):
+    args = {"sample": sample, "seed": seed, "max_sets": max_sets}
+    assert classify(p, n, m, **args) == orbit_classify_reference(p, n, m, **args)
+
+
+def test_classify_computes_one_fan_per_orbit_with_permutations(monkeypatch):
+    import itertools
+
+    import gbfan.groebner
+
+    fan = gbfan.groebner.all_reduced_gbs
+    calls = []
+
+    def counted(points, **budget):
+        calls.append(points)
+        return fan(points, **budget)
+
+    monkeypatch.setattr(gbfan.groebner, "all_reduced_gbs", counted)
+    for p, n in [(2, 3), (3, 2)]:
+        shifts = all_shift_list(p, n)
+        perms = list(itertools.permutations(range(n)))
+        for m in range(1, p**n):
+            calls.clear()
+            classify(p, n, m)
+            orbits = {
+                min(
+                    tuple(sorted(s.apply_point(tuple(v[j] for j in perm)) for v in subset))
+                    for perm in perms
+                    for s in shifts
+                )
+                for subset in itertools.combinations(box_points(p, n), m)
+            }
+            assert len(calls) == len(orbits), (p, n, m)
+
+
+def test_shift_orbit_matches_apply_point_orbits():
+    rng = random.Random(47)
+    for _ in range(40):
+        p, n = rng.choice([(2, 3), (3, 2), (5, 2), (3, 3), (7, 1)])
+        V = random_point_set(rng, p, n, max_size=5)
+        expected = sorted(
+            {tuple(sorted(s.apply_point(v) for v in V)) for s in all_shift_list(p, n)}
+        )
+        assert shift_orbit(p, n, V.points) == expected
+
+
+def test_permuted_sets_have_permuted_fans():
+    rng = random.Random(53)
+    for _ in range(60):
+        p, n = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+        V = random_point_set(rng, p, n, max_size=6 if p == 2 else 4)
+        perm = rng.sample(range(n), n)
+        W = PointSet(p, n, [tuple(v[j] for j in perm) for v in V])
+        fan_v = all_reduced_gbs(V, max_box=81)
+        fan_w = all_reduced_gbs(W, max_box=81)
+        assert len(fan_v) == len(fan_w)
+        moved = {
+            tuple(sorted(tuple(u[j] for j in perm) for u in s.points))
+            for s in fan_v.staircases()
+        }
+        assert moved == {s.points for s in fan_w.staircases()}
