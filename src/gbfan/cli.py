@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .errors import BudgetExceeded, GbfanError
@@ -375,6 +376,8 @@ def _add_common(parser, shape_required=False):
     parser.add_argument("--max-sets", type=int, default=None)
 
 
+# parsing leaves the parser unchanged, so in-process callers of main() share one
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gbfan",

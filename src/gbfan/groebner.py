@@ -7,19 +7,23 @@ grown so far, so the work grows with the number of points and variables
 and not with p.  The complete collection over all orders (the algebraic
 fan) comes from a depth-first walk over the basic staircases alone,
 pruned as soon as the value vectors of a partial staircase become
-dependent.  Each is tested for coherence with a strictly positive weight
-vector, using exact rational inequality elimination, and its basis is
-read off the interpolated corner tails, under a certificate that each
-tail lies below its corner in the witness order.
+dependent.  The walk's echelon rows carry their combinations of the
+members, so each corner's tail is read off by reducing its value vector.
+A staircase is kept when a strictly positive weight vector makes every
+corner larger than its tail terms: a pair of opposite corner-minus-tail
+differences refutes it at once, and otherwise integer Fourier-Motzkin
+elimination decides it and rebuilds the witness.  Its basis is read off
+the tails, under a certificate that each tail lies below its corner in
+the witness order.
 """
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import mul, neg, sub
 
 from .errors import BudgetExceeded, EmptyPointSet
-from .field import gf2_reduce, modp_reduce, modp_solve_columns
+from .field import gf2_reduce, modp_reduce
 from .points import OrderIdealSet, walk_staircases
 from .poly import (
     MarkedPolynomial,
@@ -156,11 +160,7 @@ def bm_reduced_gb(points, order):
         if skip:
             continue
         residual = list(values)
-        acc = [0] * len(sm)
-        for c, combo in zip(modp_reduce(residual, basis, p), row_combos):
-            if c:
-                for j in range(len(combo)):
-                    acc[j] = (acc[j] + c * combo[j]) % p
+        acc = _combine(modp_reduce(residual, basis, p), row_combos, p)
         piv = next((i for i, x in enumerate(residual) if x), None)
         if piv is None:
             terms = {u: 1}
@@ -213,15 +213,31 @@ def _corners(members, n):
     return sorted(corners)
 
 
-def _normalize_row(coeffs, rhs):
-    g = 0
-    for x in coeffs:
-        g = gcd(g, abs(x))
-    g = gcd(g, abs(rhs))
-    if g > 1:
-        coeffs = tuple(x // g for x in coeffs)
-        rhs = rhs // g
-    return coeffs, rhs
+def _combine(coeffs, combos, p):
+    """Member coefficients of what `modp_reduce` removed from a vector.
+
+    Echelon row i is the combination `combos[i]` of the members' value
+    vectors, and the multiplier `coeffs[i]` says how much of it was
+    removed; a vector reduced to zero equals the returned combination.
+    """
+    acc = [0] * len(combos)
+    for c, combo in zip(coeffs, combos):
+        if c:
+            acc[: len(combo)] = [a + c * x for a, x in zip(acc, combo)]
+    return [x % p for x in acc]
+
+
+def _opposite_pair(diffs):
+    """A difference whose negation is also among the differences, or None.
+
+    No weight w makes both w.d and w.(-d) positive: Gordan's alternative
+    with multipliers (1, 1) refutes the staircase before any elimination.
+    """
+    seen = set(diffs)
+    for d in seen:
+        if tuple(map(neg, d)) in seen:
+            return d
+    return None
 
 
 def _positive_weight_witness(diffs, nvars):
@@ -229,86 +245,80 @@ def _positive_weight_witness(diffs, nvars):
     integer difference d, or None when no such vector exists.
 
     Strictness is encoded as margin >= 1; for homogeneous integer systems
-    this is equivalent to strict positivity under scaling.  Variables are
-    eliminated successively, then a witness is rebuilt by back-substitution
-    and rescaled to the smallest integer vector on its ray.
+    this is equivalent to strict positivity under scaling.  Rows (a, b)
+    stand for a.w >= b.  Variables are eliminated successively, each time
+    the one whose positive and negative row counts have the least
+    product, and derived rows are divided by the gcd of their entries.
+    The witness is rebuilt by back-substitution, taking each variable at
+    its largest lower bound, over one common integer denominator, and
+    rescaled to the smallest integer vector on its ray.
     """
-    rows = set()
-    for i in range(nvars):
-        unit = tuple(int(j == i) for j in range(nvars))
-        rows.add((unit, 1))
-    for d in diffs:
-        rows.add(_normalize_row(tuple(d), 1))
+    rows = {(tuple(int(j == i) for j in range(nvars)), 1) for i in range(nvars)}
+    rows.update((tuple(d), 1) for d in diffs)
 
     steps = []
-    current = rows
     remaining = list(range(nvars))
     while remaining:
         counts = {}
-        for var in remaining:
-            pos = sum(1 for a, _ in current if a[var] > 0)
-            neg = sum(1 for a, _ in current if a[var] < 0)
-            counts[var] = pos * neg
+        for v, col in enumerate(zip(*[a for a, _ in rows])):
+            if v in remaining:
+                below = sum(x < 0 for x in col)
+                counts[v] = (len(col) - col.count(0) - below) * below
         var = min(remaining, key=lambda v: (counts[v], v))
-        steps.append((var, current))
-        pos_rows = [(a, b) for a, b in current if a[var] > 0]
-        neg_rows = [(a, b) for a, b in current if a[var] < 0]
-        zero_rows = {(a, b) for a, b in current if a[var] == 0}
-        new_rows = set(zero_rows)
+        remaining.remove(var)
+        steps.append((var, rows))
+        pos_rows, neg_rows, new_rows = [], [], set()
+        for row in rows:
+            x = row[0][var]
+            if x > 0:
+                pos_rows.append(row)
+            elif x < 0:
+                neg_rows.append(row)
+            else:
+                new_rows.add(row)
         for ap, bp in pos_rows:
+            mn = ap[var]
             for an, bn in neg_rows:
-                mp, mn = -an[var], ap[var]
-                coeffs = tuple(mp * x + mn * y for x, y in zip(ap, an))
+                mp = -an[var]
+                coeffs = [mp * x + mn * y for x, y in zip(ap, an)]
                 rhs = mp * bp + mn * bn
-                if not any(coeffs):
+                g = gcd(*coeffs)
+                if not g:
                     if rhs > 0:
                         return None
                     continue
-                new_rows.add(_normalize_row(coeffs, rhs))
-        for a, b in new_rows:
-            if not any(a) and b > 0:
-                return None
-        current = new_rows
-        remaining.remove(var)
+                g = gcd(g, rhs)
+                if g > 1:
+                    coeffs = [x // g for x in coeffs]
+                    rhs //= g
+                new_rows.add((tuple(coeffs), rhs))
+        rows = new_rows
 
-    for a, b in current:
-        if b > 0:
-            return None
-
-    values = {}
+    # variable j has the value num[j] / den; unassigned ones hold 0
+    num = [0] * nvars
+    den = 1
     for var, system in reversed(steps):
-        lower = None
-        upper = None
+        # the largest lower bound r / (den * q), q > 0; the unit row of var
+        # is still in its system and gives 1 = den / den
+        r, q = den, 1
         for a, b in system:
             av = a[var]
-            if av == 0:
-                continue
-            rest = b - sum(
-                Fraction(a[j]) * values[j] for j in values if a[j]
-            )
-            bound = Fraction(rest, av)
             if av > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is None:
-            lower = upper if upper is not None else Fraction(1)
-        values[var] = lower
+                rest = b * den - sum(map(mul, a, num))
+                if rest * q > r * av:
+                    r, q = rest, av
+        num = [x * q for x in num]
+        num[var] = r
+        den *= q
 
-    witness = [values[i] for i in range(nvars)]
-    scale = lcm(*(w.denominator for w in witness)) if witness else 1
-    ints = [int(w * scale) for w in witness]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
+    g = gcd(*num)
+    ints = tuple(x // g for x in num)
     if any(x <= 0 for x in ints):
         raise RuntimeError("witness reconstruction produced a nonpositive weight")
     for d in diffs:
-        if sum(w * x for w, x in zip(ints, d)) <= 0:
+        if sum(map(mul, ints, d)) <= 0:
             raise RuntimeError("witness reconstruction violated a constraint")
-    return tuple(ints)
+    return ints
 
 
 class _Values(dict):
@@ -389,6 +399,70 @@ def _basic_staircases(points):
     return walk_staircases(p, n, m, push, pop)
 
 
+def _staircase_tails(points):
+    """Each basic staircase with the tail of each of its corners.
+
+    The walk of `_basic_staircases`, where every echelon row also carries
+    its combination of the members, as the rows of `bm_reduced_gb` do.  On
+    a full staircase the rows span every value vector, so reducing a
+    corner's vector reads off the unique member coefficients of its
+    interpolant.  Over Z_2 a row is one bit mask: the values sit above the
+    low m bits, which hold the combination, one bit per member.  Over Z_p
+    the combination is a coefficient list, weighed by the multipliers of
+    `modp_reduce`.  Yields (members, tails) with one (corner, [(member,
+    coefficient), ...]) per corner in sorted order, zero terms left out.
+    """
+    p, n, m = points.p, points.n, len(points)
+    if p == 2:
+        values = _Values(points, masks=True)
+        pivots = {}
+
+        def push(u):
+            mask = gf2_reduce(values[u] << m | 1 << len(pivots), pivots)
+            if not mask >> m:
+                return None
+            key = mask.bit_length() - 1
+            pivots[key] = mask
+            return key
+
+        pop = pivots.pop
+
+        def tail(c):
+            combo = gf2_reduce(values[c] << m, pivots)
+            return [combo >> j & 1 for j in range(m)]
+
+    else:
+        values = _Values(points)
+        basis = []
+        combos = []
+
+        def push(u):
+            vec = list(values[u])
+            coeffs = modp_reduce(vec, basis, p)
+            piv = next((i for i, x in enumerate(vec) if x), None)
+            if piv is None:
+                return None
+            inv = pow(vec[piv], -1, p)
+            basis.append((piv, [x * inv % p for x in vec]))
+            combo = [-x * inv % p for x in _combine(coeffs, combos, p)]
+            combo.append(inv)
+            combos.append(combo)
+            return piv
+
+        def pop(_):
+            basis.pop()
+            combos.pop()
+
+        def tail(c):
+            return _combine(modp_reduce(list(values[c]), basis, p), combos, p)
+
+    for members in walk_staircases(p, n, m, push, pop):
+        yield members, [
+            (c, [(u, x) for u, x in zip(members, tail(c)) if x])
+            for c in _corners(members, n)
+        ]
+
+
 def _basic_staircase_count(points, limit=None):
     count = 0
     for _ in _basic_staircases(points):
@@ -415,12 +489,14 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
     """Every distinct reduced Groebner basis of the vanishing ideal.
 
     Candidates are the basic staircases of size |V|, from the pruned walk
-    over [0, min(p, |V|))^n; `max_box` bounds the size of that box.  Each
-    corner c of a candidate is interpolated over the staircase, and the
-    candidate is kept when a strictly positive weight vector makes every
-    corner larger than each term of its tail.  The basis is then read off
-    those tails, one generator c - tail(c) per corner, sorted by the
-    witness order.  A certificate checks that each tail term lies below
+    over [0, min(p, |V|))^n; `max_box` bounds the size of that box.  The
+    tail of each corner c, its interpolant over the staircase, is read off
+    the walk's echelon rows.  The candidate is kept when a strictly
+    positive weight vector makes every corner larger than each term of its
+    tail: two opposite differences c - u refute it, and otherwise the
+    Fourier-Motzkin kernel decides.  The basis is then read off those
+    tails, one generator c - tail(c) per corner, sorted by the witness
+    order.  A certificate checks that each tail term lies below
     its corner in that order: the generators vanish on the points and lead
     at the corners, so the standard monomials are exactly the staircase.
     """
@@ -432,32 +508,25 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
         raise BudgetExceeded(f"box size {box} exceeds the budget {max_box}")
     if m > max_points:
         raise BudgetExceeded(f"{m} points exceed the budget {max_points}")
-    values = _Values(points)
     entries = []
-    for members in _basic_staircases(points):
-        corners = _corners(members, n)
-        rows = list(zip(*(values[u] for u in members)))
-        tails = modp_solve_columns(rows, [values[c] for c in corners], p)
-        diffs = []
-        for corner, tail in zip(corners, tails):
-            for u, coeff in zip(members, tail):
-                if coeff:
-                    diffs.append(tuple(a - b for a, b in zip(corner, u)))
+    for members, tails in _staircase_tails(points):
+        diffs = [tuple(map(sub, c, u)) for c, tail in tails for u, _ in tail]
+        if _opposite_pair(diffs) is not None:
+            continue
         witness = _positive_weight_witness(diffs, n)
         if witness is None:
             continue
         order = WeightOrder(witness)
-        key = {u: order.key(u) for u in (*members, *corners)}
+        key = {u: order.key(u) for u in (*members, *(c for c, _ in tails))}
         generators = []
-        for corner, tail in sorted(zip(corners, tails), key=lambda ct: key[ct[0]]):
+        for corner, tail in sorted(tails, key=lambda ct: key[ct[0]]):
             terms = {corner: 1}
-            for u, coeff in zip(members, tail):
-                if coeff:
-                    if key[u] >= key[corner]:
-                        raise RuntimeError(
-                            f"tail term {u} does not lie below its corner {corner}"
-                        )
-                    terms[u] = p - coeff
+            for u, coeff in tail:
+                if key[u] >= key[corner]:
+                    raise RuntimeError(
+                        f"tail term {u} does not lie below its corner {corner}"
+                    )
+                terms[u] = p - coeff
             generators.append(MarkedPolynomial(Polynomial(p, n, terms), corner))
         staircase = OrderIdealSet(p, n, members)
         basis = ReducedGroebnerBasis(order, generators, staircase)

@@ -263,11 +263,29 @@ def _index_orbit(points, tables):
     return sorted({tuple(sorted(image)) for image in images})
 
 
-def shift_orbit(p, n, points):
-    """Every image of a point set under the shift group, canonically sorted."""
-    pts = [tuple(int(c) % p for c in v) for v in points]
+def _check_group_order(p, n, max_sets):
+    """Refuse a shift group of order above max_sets before any shift is listed."""
+    group_order = (p * (p - 1)) ** n
+    if group_order > max_sets:
+        raise BudgetExceeded(
+            f"shift group of order {group_order} exceeds the budget {max_sets}; "
+            "raise max_sets"
+        )
+
+
+def shift_orbit(p, n, points, max_sets=20000):
+    """Every image of a point set under the shift group, canonically sorted.
+
+    Coordinates must lie in [0, p).  `max_sets` bounds the order of the
+    shift group, (p(p-1))^n, as in `classify`.
+    """
+    pts = [tuple(int(c) for c in v) for v in points]
     if any(len(v) != n for v in pts):
         raise DimensionMismatch(f"points of length other than {n}")
+    for v in pts:
+        if any(c < 0 or c >= p for c in v):
+            raise ValueError(f"coordinates of {v} must lie in [0, {p})")
+    _check_group_order(p, n, max_sets)
     box = box_points(p, n)
     return [
         tuple(box[i] for i in image) for image in _index_orbit(pts, _offset_tables(p, n))
@@ -316,12 +334,7 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
         raise ValueError(f"p must be prime: {p}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be positive: {sample}")
-    group_order = (p * (p - 1)) ** n
-    if group_order > max_sets:
-        raise BudgetExceeded(
-            f"shift group of order {group_order} exceeds the budget {max_sets}; "
-            "raise max_sets"
-        )
+    _check_group_order(p, n, max_sets)
     box = box_points(p, n)
     population = comb(len(box), m)
     if sample is None:

@@ -2,14 +2,17 @@
 
 Each oracle is deliberately independent of the library code path it
 checks: subset filters instead of incremental enumeration, exhaustive
-shift scans instead of pruned searches, and weight-grid sweeps instead of
-staircase feasibility.
+shift scans instead of pruned searches, weight-grid sweeps instead of
+staircase feasibility, and rational Fourier-Motzkin back-substitution
+instead of the integer kernel.
 """
 
 import itertools
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from gbfan import (
     BudgetExceeded,
@@ -51,6 +54,106 @@ def span_rank(rows, p):
         size //= p
         r += 1
     return r
+
+
+def _normalize_row(coeffs, rhs):
+    g = 0
+    for x in coeffs:
+        g = gcd(g, abs(x))
+    g = gcd(g, abs(rhs))
+    if g > 1:
+        coeffs = tuple(x // g for x in coeffs)
+        rhs = rhs // g
+    return coeffs, rhs
+
+
+def fm_witness_reference(diffs, nvars):
+    """Integer w with every coordinate positive and w.d > 0 for each given
+    integer difference d, or None when no such vector exists.
+
+    Strictness is encoded as margin >= 1; for homogeneous integer systems
+    this is equivalent to strict positivity under scaling.  Variables are
+    eliminated successively, then a witness is rebuilt by back-substitution
+    and rescaled to the smallest integer vector on its ray.  Rational
+    back-substitution; the reference for the integer kernel
+    `groebner._positive_weight_witness`.
+    """
+    rows = set()
+    for i in range(nvars):
+        unit = tuple(int(j == i) for j in range(nvars))
+        rows.add((unit, 1))
+    for d in diffs:
+        rows.add(_normalize_row(tuple(d), 1))
+
+    steps = []
+    current = rows
+    remaining = list(range(nvars))
+    while remaining:
+        counts = {}
+        for var in remaining:
+            pos = sum(1 for a, _ in current if a[var] > 0)
+            neg = sum(1 for a, _ in current if a[var] < 0)
+            counts[var] = pos * neg
+        var = min(remaining, key=lambda v: (counts[v], v))
+        steps.append((var, current))
+        pos_rows = [(a, b) for a, b in current if a[var] > 0]
+        neg_rows = [(a, b) for a, b in current if a[var] < 0]
+        zero_rows = {(a, b) for a, b in current if a[var] == 0}
+        new_rows = set(zero_rows)
+        for ap, bp in pos_rows:
+            for an, bn in neg_rows:
+                mp, mn = -an[var], ap[var]
+                coeffs = tuple(mp * x + mn * y for x, y in zip(ap, an))
+                rhs = mp * bp + mn * bn
+                if not any(coeffs):
+                    if rhs > 0:
+                        return None
+                    continue
+                new_rows.add(_normalize_row(coeffs, rhs))
+        for a, b in new_rows:
+            if not any(a) and b > 0:
+                return None
+        current = new_rows
+        remaining.remove(var)
+
+    for a, b in current:
+        if b > 0:
+            return None
+
+    values = {}
+    for var, system in reversed(steps):
+        lower = None
+        upper = None
+        for a, b in system:
+            av = a[var]
+            if av == 0:
+                continue
+            rest = b - sum(
+                Fraction(a[j]) * values[j] for j in values if a[j]
+            )
+            bound = Fraction(rest, av)
+            if av > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is None:
+            lower = upper if upper is not None else Fraction(1)
+        values[var] = lower
+
+    witness = [values[i] for i in range(nvars)]
+    scale = lcm(*(w.denominator for w in witness)) if witness else 1
+    ints = [int(w * scale) for w in witness]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    if any(x <= 0 for x in ints):
+        raise RuntimeError("witness reconstruction produced a nonpositive weight")
+    for d in diffs:
+        if sum(w * x for w, x in zip(ints, d)) <= 0:
+            raise RuntimeError("witness reconstruction violated a constraint")
+    return tuple(ints)
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,13 @@ import pytest
 
 from gbfan import (
     DataSet,
+    GrevLexOrder,
+    LexOrder,
     PointSet,
     WeightOrder,
+    all_reduced_gbs,
     bm_reduced_gb,
+    format_polynomial,
     lac_fds,
     parse_polynomial,
 )
@@ -46,6 +50,35 @@ def test_gb_round_trip(tmp_path, capsys):
     )
     reparsed = {parse_polynomial(text, 3, 2) for text in data["generators"]}
     assert reparsed == {g.poly for g in direct.generators}
+
+
+def test_main_calls_carry_no_options_over(tmp_path, capsys):
+    # main() reuses one parser per process; each call starts from the defaults
+    toy = _write(tmp_path, "toy.json", TOY)
+    points = PointSet.from_json(TOY)
+    code, out, err = _run(capsys, ["fan", toy, "--max-box", "1"])
+    assert code == 3 and out == ""
+    assert "exceeds the budget 1" in err
+    code, out, _ = _run(capsys, ["fan", toy])
+    assert code == 0
+    assert json.loads(out) == all_reduced_gbs(points).to_json()
+
+    lex = bm_reduced_gb(points, LexOrder([1, 0]))
+    grevlex = bm_reduced_gb(points, GrevLexOrder())
+    assert lex.standard_monomials != grevlex.standard_monomials
+    code, out, _ = _run(
+        capsys, ["gb", toy, "--order", "lex:2,1", "--format", "text", "--names", "a,b"]
+    )
+    assert code == 0
+    assert out.startswith("standard monomials: 1, a, a^2\n")
+    code, out, _ = _run(capsys, ["gb", toy, "--order", "grevlex"])
+    assert code == 0
+    assert json.loads(out) == {
+        "standard_monomials": [list(u) for u in grevlex.standard_monomials.points],
+        "generators": [
+            format_polynomial(g.poly, grevlex.order) for g in grevlex.generators
+        ],
+    }
 
 
 def test_gb_text_format(tmp_path, capsys):

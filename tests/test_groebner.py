@@ -27,9 +27,17 @@ from gbfan import (
     universal_basis,
     verify_reduced_gb,
 )
-from gbfan.groebner import _basic_staircases
+from gbfan.field import modp_solve_columns
+from gbfan.groebner import (
+    _basic_staircases,
+    _opposite_pair,
+    _positive_weight_witness,
+    _staircase_tails,
+)
+from gbfan.points import evaluation_rows
 from _oracles import (
     box_scan_reduced_gb,
+    fm_witness_reference,
     random_point_set,
     random_points,
     random_shift,
@@ -316,6 +324,41 @@ def test_pruned_walk_and_tail_bases_match_oracles(p, n):
             redo = bm_reduced_gb(V, WeightOrder(entry.witness_weight))
             assert entry.basis == redo, (V, entry.witness_weight)
         assert is_unique_gb(V) == (len(fan) == 1, len(basic))
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (5, 3),
+     (2, 4), (3, 4), (2, 5), (2, 6)],
+)
+def test_fan_layers_match_references(p, n):
+    # on every basic staircase: the tails read off the walk equal a fresh
+    # solve; an opposite pair holds d and -d, and the rational reference
+    # refutes it too; otherwise the integer kernel returns the reference's
+    # witness, or None with it
+    rng = random.Random(900 + 10 * p + n)
+    sets = [random_points(rng, p, n, 1)]
+    sets += [random_points(rng, p, n, rng.randint(2, min(p**n, 10))) for _ in range(8)]
+    for V in sets:
+        for members, tails in _staircase_tails(V):
+            rows = evaluation_rows(members, V.points, p)
+            corners = [c for c, _ in tails]
+            columns = list(zip(*evaluation_rows(corners, V.points, p)))
+            solved = modp_solve_columns(rows, columns, p)
+            for (corner, tail), coeffs in zip(tails, solved):
+                assert tail == [(u, x) for u, x in zip(members, coeffs) if x], (V, corner)
+            diffs = [
+                tuple(a - b for a, b in zip(c, u)) for c, tail in tails for u, _ in tail
+            ]
+            d = _opposite_pair(diffs)
+            negated = [tuple(-x for x in e) for e in diffs]
+            assert (d is None) == set(diffs).isdisjoint(negated)
+            expected = fm_witness_reference(diffs, n)
+            if d is not None:
+                assert d in diffs and tuple(-x for x in d) in diffs
+                assert expected is None, (V, members)
+            else:
+                assert _positive_weight_witness(diffs, n) == expected, (V, members)
 
 
 def test_structural_invariants_on_random_bases():

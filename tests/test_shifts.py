@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -363,6 +364,20 @@ def test_shift_orbit_matches_apply_point_orbits():
             {tuple(sorted(s.apply_point(v) for v in V)) for s in all_shift_list(p, n)}
         )
         assert shift_orbit(p, n, V.points) == expected
+
+
+def test_shift_orbit_budget_and_range():
+    # (101 * 100)^3 shifts: refused before the box is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="order 1030301000000"):
+        shift_orbit(101, 3, [(0, 0, 0), (1, 2, 3)])
+    assert time.perf_counter() - start < 1
+    with pytest.raises(BudgetExceeded):
+        shift_orbit(3, 2, [(0, 1)], max_sets=35)
+    assert len(shift_orbit(3, 2, [(0, 1)], max_sets=36)) == 9
+    for bad in ([(5,)], [(-1,)]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+            shift_orbit(3, 1, bad)
 
 
 def test_permuted_sets_have_permuted_fans():
