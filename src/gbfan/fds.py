@@ -17,7 +17,7 @@ from .errors import (
     NotBasic,
     SingularMatrix,
 )
-from .groebner import _basic_staircase_count, all_reduced_gbs
+from .groebner import _Values, _basic_staircase_count, all_reduced_gbs
 from .field import modp_solve_columns
 from .points import PointSet, box_points, evaluation_rows, require, require_object
 from .poly import Polynomial, format_polynomial, parse_polynomial
@@ -407,14 +407,22 @@ def min_augmentation(points, k_max, max_sets=20000):
     A negative k_max raises ValueError.  Unless the points already have a
     unique basis, raises BudgetExceeded before any scan when the subsets
     of up to k_max points number more than max_sets.
+
+    One value table covers the points and then the complement.  A
+    candidate is the first m indices plus those of its extra points, and
+    the table restricted to them gives the walk its value vectors, so no
+    candidate builds a point set.  With k_max = 0 the complement is never
+    listed.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
     if k_max < 0:
         raise ValueError(f"max_k must be nonnegative, got {k_max}")
-    if _basic_staircase_count(points, limit=2) == 1:
-        return 0, PointSet(points.p, points.n, ())
-    free = points.p**points.n - len(points)
+    p, n, m = points.p, points.n, len(points)
+    own = _Values(p, n, points.points)
+    if _basic_staircase_count(p, n, m, own.__getitem__, limit=2) == 1:
+        return 0, PointSet(p, n, ())
+    free = p**n - m
     candidates = 0
     for k in range(min(k_max, free) + 1):
         candidates += comb(free, k)
@@ -423,12 +431,15 @@ def min_augmentation(points, k_max, max_sets=20000):
                 f"{candidates} candidate sets of up to {k} extra points "
                 f"exceed the budget {max_sets}"
             )
+    if k_max == 0:
+        return None
     complement = points.complement().points
+    table = _Values(p, n, points.points + complement)
     for k in range(1, k_max + 1):
-        for extra in itertools.combinations(complement, k):
-            candidate = points.union(extra)
-            if _basic_staircase_count(candidate, limit=2) == 1:
-                return k, PointSet(points.p, points.n, extra)
+        for extra in itertools.combinations(range(m, m + free), k):
+            values = table.restrict(m, extra)
+            if _basic_staircase_count(p, n, m + k, values, limit=2) == 1:
+                return k, PointSet(p, n, [complement[i - m] for i in extra])
     return None
 
 

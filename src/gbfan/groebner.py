@@ -20,7 +20,7 @@ the witness order.
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from operator import mul, neg, sub
+from operator import itemgetter, mul, neg, sub
 
 from .errors import BudgetExceeded, EmptyPointSet
 from .field import gf2_reduce, modp_reduce
@@ -193,24 +193,20 @@ def bm_reduced_gb(points, order):
 
 
 def _corners(members, n):
-    """Minimal exponent vectors outside a staircase."""
+    """Minimal exponent vectors outside a staircase.
+
+    A vector w outside is a corner exactly when w - e_j lies inside for
+    every j with w_j > 0, that is when it arises as u + e_j from members u
+    as many times as it has nonzero exponents.
+    """
     inside = set(members)
-    cand = set()
+    hits = {}
     for u in members:
         for j in range(n):
             w = u[:j] + (u[j] + 1,) + u[j + 1 :]
             if w not in inside:
-                cand.add(w)
-    corners = [
-        w
-        for w in cand
-        if all(
-            w[:j] + (w[j] - 1,) + w[j + 1 :] in inside
-            for j in range(n)
-            if w[j]
-        )
-    ]
-    return sorted(corners)
+                hits[w] = hits.get(w, 0) + 1
+    return sorted(w for w, c in hits.items() if c == n - w.count(0))
 
 
 def _combine(coeffs, combos, p):
@@ -322,26 +318,25 @@ def _positive_weight_witness(diffs, nvars):
 
 
 class _Values(dict):
-    """Value vector over the points of each monomial looked up.
+    """Value vector over a list of points of each monomial looked up.
 
     A monomial's vector is that of a divisor times one coordinate column,
     so each costs one pass over the points and none calls eval_monomial.
-    Over Z_p a vector is a tuple; for the Z_2 walk it is a bit mask, bit i
+    Over Z_p a vector is a tuple; over Z_2 it is a bit mask, bit i
     standing for point i, and the product is a bitwise and.
     """
 
-    def __init__(self, points, masks=False):
+    def __init__(self, p, n, points):
         super().__init__()
-        n, m = points.n, len(points)
-        columns = list(zip(*points.points))
-        if masks:
+        self.masks = p == 2
+        columns = list(zip(*points))
+        if self.masks:
             self.columns = [sum(c << i for i, c in enumerate(col)) for col in columns]
-            self[(0,) * n] = (1 << m) - 1
+            self[(0,) * n] = (1 << len(points)) - 1
         else:
             self.columns = columns
-            self.p = points.p
-            self[(0,) * n] = (1,) * m
-        self.masks = masks
+            self.p = p
+            self[(0,) * n] = (1,) * len(points)
 
     def __missing__(self, u):
         j = next(j for j, e in enumerate(u) if e)
@@ -354,24 +349,38 @@ class _Values(dict):
         self[u] = vec
         return vec
 
+    def restrict(self, m, extra):
+        """Vector lookup over the first m points and those at the indices
+        in `extra`, two points or more in all.
 
-def _basic_staircases(points):
-    """Every staircase of |V| monomials with an invertible evaluation matrix.
+        Over Z_2 it masks off the other points' bits, which leaves every
+        rank unchanged; over Z_p it picks the vector's entries.
+        """
+        if self.masks:
+            mask = (1 << m) - 1
+            for i in extra:
+                mask |= 1 << i
+            return lambda u: self[u] & mask
+        pick = itemgetter(*range(m), *extra)
+        return lambda u: pick(self[u])
 
-    The staircase walk, in the lex order of `enumerate_order_ideals`, where
-    a monomial joins only when its value vector is independent of the
-    members' vectors: those are kept as echelon pivots, pushed on the way
-    down and popped on the way back.  Every subset of a basic staircase has
-    independent vectors, so a dependent branch is dropped at once.  Yields
-    member tuples.
+
+def _basic_staircases(p, n, m, values):
+    """Every staircase of m monomials with an invertible evaluation matrix.
+
+    `values(u)` is monomial u's value vector over the m points; over Z_2
+    it is a bit mask whose m point bits may sit anywhere (see `_Values`).  The staircase walk, in the lex order of
+    `enumerate_order_ideals`, where a monomial joins only when its value
+    vector is independent of the members' vectors: those are kept as
+    echelon pivots, pushed on the way down and popped on the way back.
+    Every subset of a basic staircase has independent vectors, so a
+    dependent branch is dropped at once.  Yields member tuples.
     """
-    p, n, m = points.p, points.n, len(points)
     if p == 2:
-        values = _Values(points, masks=True)
         pivots = {}
 
         def push(u):
-            mask = gf2_reduce(values[u], pivots)
+            mask = gf2_reduce(values(u), pivots)
             if not mask:
                 return None
             key = mask.bit_length() - 1
@@ -380,11 +389,10 @@ def _basic_staircases(points):
 
         pop = pivots.pop
     else:
-        values = _Values(points)
         basis = []
 
         def push(u):
-            vec = list(values[u])
+            vec = list(values(u))
             modp_reduce(vec, basis, p)
             piv = next((i for i, x in enumerate(vec) if x), None)
             if piv is None:
@@ -413,8 +421,8 @@ def _staircase_tails(points):
     coefficient), ...]) per corner in sorted order, zero terms left out.
     """
     p, n, m = points.p, points.n, len(points)
+    values = _Values(p, n, points.points)
     if p == 2:
-        values = _Values(points, masks=True)
         pivots = {}
 
         def push(u):
@@ -432,7 +440,6 @@ def _staircase_tails(points):
             return [combo >> j & 1 for j in range(m)]
 
     else:
-        values = _Values(points)
         basis = []
         combos = []
 
@@ -463,9 +470,9 @@ def _staircase_tails(points):
         ]
 
 
-def _basic_staircase_count(points, limit=None):
+def _basic_staircase_count(p, n, m, values, limit=None):
     count = 0
-    for _ in _basic_staircases(points):
+    for _ in _basic_staircases(p, n, m, values):
         count += 1
         if count == limit:
             break
@@ -481,7 +488,9 @@ def is_unique_gb(points):
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
-    count = _basic_staircase_count(points)
+    p, n = points.p, points.n
+    values = _Values(p, n, points.points)
+    count = _basic_staircase_count(p, n, len(points), values.__getitem__)
     return count == 1, count
 
 

@@ -31,6 +31,8 @@ from gbfan import (
     box_points,
     divides,
 )
+from gbfan.errors import EmptyPointSet
+from gbfan.groebner import _Values, _basic_staircase_count
 from gbfan.points import eval_monomial
 from gbfan.shifts import _unrank_combination
 
@@ -426,3 +428,66 @@ def orbit_classify_reference(p, n, m, sample=None, seed=0, max_sets=20000, fan_b
         mode=mode,
         seed=seed if mode == "sample" else None,
     )
+
+
+def corners_reference(members, n):
+    """Minimal exponent vectors outside a staircase.
+
+    Each border candidate u + e_j is kept when every w - e_j, for w_j > 0,
+    is a member.  The reference for `groebner._corners`.
+    """
+    inside = set(members)
+    cand = set()
+    for u in members:
+        for j in range(n):
+            w = u[:j] + (u[j] + 1,) + u[j + 1 :]
+            if w not in inside:
+                cand.add(w)
+    corners = [
+        w
+        for w in cand
+        if all(
+            w[:j] + (w[j] - 1,) + w[j + 1 :] in inside
+            for j in range(n)
+            if w[j]
+        )
+    ]
+    return sorted(corners)
+
+
+def _basic_count(points, limit=None):
+    """Basic staircases of one point set, counted on a table of its own."""
+    values = _Values(points.p, points.n, points.points).__getitem__
+    return _basic_staircase_count(points.p, points.n, len(points), values, limit)
+
+
+def min_augmentation_reference(points, k_max, max_sets=20000):
+    """Fewest extra points forcing a unique reduced basis.
+
+    Every candidate is built as its own `PointSet` by `points.union` and
+    walked on a value table over exactly its points.  The reference for
+    `fds.min_augmentation`, whose candidates are bit masks or index picks
+    on one table.
+    """
+    if len(points) == 0:
+        raise EmptyPointSet("empty point set")
+    if k_max < 0:
+        raise ValueError(f"max_k must be nonnegative, got {k_max}")
+    if _basic_count(points, limit=2) == 1:
+        return 0, PointSet(points.p, points.n, ())
+    free = points.p**points.n - len(points)
+    candidates = 0
+    for k in range(min(k_max, free) + 1):
+        candidates += math.comb(free, k)
+        if candidates > max_sets:
+            raise BudgetExceeded(
+                f"{candidates} candidate sets of up to {k} extra points "
+                f"exceed the budget {max_sets}"
+            )
+    complement = points.complement().points
+    for k in range(1, k_max + 1):
+        for extra in itertools.combinations(complement, k):
+            candidate = points.union(extra)
+            if _basic_count(candidate, limit=2) == 1:
+                return k, PointSet(points.p, points.n, extra)
+    return None

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -427,3 +431,44 @@ def test_fds_select_large_p(tmp_path, capsys):
         f = parse_polynomial(text, LARGE_P, 2)
         outputs = dataset.outputs[int(key) - 1]
         assert [f.evaluate(v) for v in dataset.inputs.points] == list(outputs)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_module(tmp_path, argv):
+    # the documented entry point, in its own interpreter: exit codes come
+    # from entry()'s sys.exit, not from main()'s return value
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gbfan.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    s5 = _write(tmp_path, "s5.json", S5)
+    code, out, err = _run_module(tmp_path, ["fds", "augment", s5, "--max-k", "8"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["k"] == 6
+    code, out, err = _run_module(tmp_path, ["fds", "augment", s5, "--max-k", "-3"])
+    assert (code, out) == (2, "")
+    assert err == "error: max_k must be nonnegative, got -3\n"
+    code, out, err = _run_module(
+        tmp_path, ["fds", "augment", s5, "--max-k", "8", "--max-sets", "100"]
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget 100" in err
+
+
+def test_no_augmentation_never_lists_the_box(tmp_path):
+    # p^n is about 10^12: with --max-k 0 no candidate is tried, so the
+    # complement is never built
+    line = _write(
+        tmp_path, "line.json", {"p": 1000003, "n": 2, "points": [[1, 1], [2, 2], [3, 3]]}
+    )
+    code, out, err = _run_module(tmp_path, ["fds", "augment", line, "--max-k", "0"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"exhausted": True, "max_k": 0}

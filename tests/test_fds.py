@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -31,7 +32,12 @@ from gbfan import (
     state_space,
     weak_components,
 )
-from _oracles import brute_force_models
+from _oracles import (
+    brute_force_models,
+    brute_force_order_ideals,
+    min_augmentation_reference,
+    span_rank,
+)
 
 S5 = PointSet(2, 4, [(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0), (1, 1, 1, 1)])
 
@@ -269,6 +275,73 @@ def test_min_augmentation_examples():
     with pytest.raises(BudgetExceeded):
         min_augmentation(toy, 2, max_sets=21)
     assert min_augmentation(staircase, 3, max_sets=1)[0] == 0
+
+
+def _brute_force_min_augmentation(points, k_max):
+    """The first complement subset, by size then lex order, after which
+    exactly one order ideal has an evaluation matrix of full rank.
+
+    Ideals come from filtering every subset of the box, values are plain
+    products and ranks are span sizes, so nothing is shared with the
+    staircase walk or the value table.
+    """
+    p, n = points.p, points.n
+    complement = [v for v in box_points(p, n) if v not in points]
+
+    def unique(pts):
+        basic = 0
+        for ideal in brute_force_order_ideals(p, n, len(pts)):
+            rows = [[math.prod(c**e for c, e in zip(v, u)) % p for u in ideal] for v in pts]
+            basic += span_rank(rows, p) == len(pts)
+        return basic == 1
+
+    for k in range(k_max + 1):
+        for extra in itertools.combinations(complement, k):
+            if unique(list(points.points) + list(extra)):
+                return k, PointSet(p, n, extra)
+    return None
+
+
+@pytest.mark.parametrize(
+    "p,n,sizes,k_maxes",
+    [(2, 2, (1, 2, 3), (0, 1, 3)), (2, 3, (2, 3, 4, 5), (0, 2, 4)),
+     (2, 4, (3, 4, 5, 6, 7), (0, 2, 4)), (3, 2, (2, 3, 4, 5), (0, 1, 3)),
+     (5, 2, (2, 3, 4, 5), (0, 1, 3))],
+)
+def test_min_augmentation_matches_reference(p, n, sizes, k_maxes):
+    # one value table with a bit mask or an index pick per candidate gives
+    # the (k, witness) of building each candidate as its own point set; on
+    # the smallest boxes, also that of a brute-force scan sharing no code
+    # with the walk or the table
+    rng = random.Random(1300 + 10 * p + n)
+    box = box_points(p, n)
+    outcomes = set()
+    for m in sizes:
+        for _ in range(6):
+            V = PointSet(p, n, rng.sample(box, m))
+            for k_max in k_maxes:
+                got = min_augmentation(V, k_max)
+                assert got == min_augmentation_reference(V, k_max), (V, k_max)
+                if p**n <= 9 and m + k_max <= 6:
+                    assert got == _brute_force_min_augmentation(V, k_max), (V, k_max)
+                outcomes.add("exhausted" if got is None else min(got[0], 1))
+    assert outcomes == {0, 1, "exhausted"}
+    # no variables: the one point is its own unique staircase
+    lone = PointSet(p, 0, [()])
+    assert min_augmentation(lone, 2) == min_augmentation_reference(lone, 2)
+    assert min_augmentation(lone, 2) == (0, PointSet(p, 0, ()))
+
+
+def test_min_augmentation_lists_no_box_before_its_budget(monkeypatch):
+    # neither k_max = 0 nor a refused budget lists the complement
+    def refuse(self):
+        raise AssertionError("the complement was listed")
+
+    line = PointSet(101, 2, [(1, 1), (2, 2), (3, 3)])
+    monkeypatch.setattr(PointSet, "complement", refuse)
+    assert min_augmentation(line, 0) is None
+    with pytest.raises(BudgetExceeded):
+        min_augmentation(line, 2)
 
 
 def test_dataset_round_trip_and_validation():

@@ -29,14 +29,17 @@ from gbfan import (
 )
 from gbfan.field import modp_solve_columns
 from gbfan.groebner import (
+    _Values,
     _basic_staircases,
+    _corners,
     _opposite_pair,
     _positive_weight_witness,
     _staircase_tails,
 )
-from gbfan.points import evaluation_rows
+from gbfan.points import evaluation_rows, walk_staircases
 from _oracles import (
     box_scan_reduced_gb,
+    corners_reference,
     fm_witness_reference,
     random_point_set,
     random_points,
@@ -318,12 +321,26 @@ def test_pruned_walk_and_tail_bases_match_oracles(p, n):
     for V in sets:
         m = len(V)
         basic = [s.points for s in enumerate_order_ideals(p, n, m) if is_basic(s, V)]
-        assert list(_basic_staircases(V)) == basic, V
+        values = _Values(p, n, V.points).__getitem__
+        assert list(_basic_staircases(p, n, m, values)) == basic, V
         fan = all_reduced_gbs(V, max_box=p**n, max_points=m)
         for entry in fan.entries:
             redo = bm_reduced_gb(V, WeightOrder(entry.witness_weight))
             assert entry.basis == redo, (V, entry.witness_weight)
         assert is_unique_gb(V) == (len(fan) == 1, len(basic))
+
+
+@pytest.mark.parametrize(
+    "p,n,sizes",
+    [(2, 0, [1]), (5, 1, range(1, 6)), (7, 2, range(1, 10)), (5, 2, range(1, 13)),
+     (3, 3, range(1, 11)), (2, 4, range(1, 17)), (2, 6, range(1, 10))],
+)
+def test_corners_match_reference(p, n, sizes):
+    # on every staircase of each size, counting how often u + e_j arises
+    # finds the same sorted corners as checking each w - e_j for membership
+    for m in sizes:
+        for members in walk_staircases(p, n, m):
+            assert _corners(members, n) == corners_reference(members, n), members
 
 
 @pytest.mark.parametrize(
