@@ -99,6 +99,7 @@ from .fds import (
     lac_fds,
     min_augmentation,
     model_select,
+    select_models,
     state_space,
     weak_components,
 )

@@ -21,11 +21,17 @@ from .fds import (
     enumerate_models,
     lac_fds,
     min_augmentation,
-    model_select,
+    select_models,
     state_space,
     weak_components,
 )
-from .groebner import all_reduced_gbs, bm_reduced_gb, transport_gb
+from .groebner import (
+    all_reduced_gbs,
+    bm_reduced_gb,
+    check_fan_budget,
+    is_unique_gb,
+    transport_gb,
+)
 from .points import PointSet, require, require_object
 from .poly import (
     GrevLexOrder,
@@ -191,8 +197,17 @@ def cmd_fan(args, config):
 
 def cmd_unique(args, config):
     points = load_point_set(args.points, config.p, config.n)
-    fan = all_reduced_gbs(points, max_box=config.max_box, max_points=config.max_points)
-    _emit({"unique": len(fan) == 1, "gb_count": len(fan)}, config)
+    check_fan_budget(points, config.max_box, config.max_points)
+    # the fan is never empty and holds only basic staircases, so a single
+    # basic staircase is a single reduced basis
+    if is_unique_gb(points, limit=2)[0]:
+        count = 1
+    else:
+        fan = all_reduced_gbs(
+            points, max_box=config.max_box, max_points=config.max_points
+        )
+        count = len(fan)
+    _emit({"unique": count == 1, "gb_count": count}, config)
     return 0
 
 
@@ -273,10 +288,10 @@ def cmd_fds_select(args, config):
         [args.coordinate - 1] if args.coordinate is not None else dataset.coordinates()
     )
     models = {
-        str(j + 1): format_polynomial(
-            model_select(dataset, basis.standard_monomials, j), basis.order, config.names
+        str(j + 1): format_polynomial(model, basis.order, config.names)
+        for j, model in zip(
+            coords, select_models(dataset, basis.standard_monomials, coords)
         )
-        for j in coords
     }
     _emit(
         {
@@ -302,7 +317,9 @@ def cmd_fds_models(args, config):
 def cmd_fds_augment(args, config):
     points = load_point_set(args.points, config.p, config.n)
     k_max = args.max_k if args.max_k is not None else config.max_augment
-    found = min_augmentation(points, k_max, max_sets=config.max_sets)
+    found = min_augmentation(
+        points, k_max, max_sets=config.max_sets, max_box=config.max_box
+    )
     if found is None:
         _emit({"exhausted": True, "max_k": k_max}, config)
     else:

@@ -17,7 +17,12 @@ from .errors import (
     NotBasic,
     SingularMatrix,
 )
-from .groebner import _Values, _basic_staircase_count, all_reduced_gbs
+from .groebner import (
+    _Values,
+    _basic_staircase_count,
+    all_reduced_gbs,
+    is_unique_gb,
+)
 from .field import modp_solve_columns
 from .points import PointSet, box_points, evaluation_rows, require, require_object
 from .poly import Polynomial, format_polynomial, parse_polynomial
@@ -333,14 +338,17 @@ class DataSet:
         return cls(inputs, outputs)
 
 
-def model_select(dataset, staircase, coordinate):
-    """The unique combination of staircase monomials matching the outputs.
+def select_models(dataset, staircase, coordinates):
+    """For each coordinate, the unique combination of staircase monomials
+    matching its outputs.
 
-    The staircase must be basic for the input points; the interpolant is
-    solved exactly from the evaluation matrix.
+    The staircase must be basic for the input points.  Its evaluation
+    matrix is built once, and one exact solve gives every coordinate's
+    interpolant, in the order of `coordinates`.
     """
-    if coordinate not in dataset.outputs:
-        raise KeyError(f"no outputs for coordinate {coordinate}")
+    for j in coordinates:
+        if j not in dataset.outputs:
+            raise KeyError(f"no outputs for coordinate {j}")
     mons = (
         list(staircase.points)
         if isinstance(staircase, PointSet)
@@ -349,12 +357,23 @@ def model_select(dataset, staircase, coordinate):
     p = dataset.p
     rows = evaluation_rows(mons, dataset.inputs.points, p)
     if len(mons) == len(rows):
+        columns = [dataset.outputs[j] for j in coordinates]
         try:
-            coeffs = modp_solve_columns(rows, [dataset.outputs[coordinate]], p)[0]
-            return Polynomial(p, dataset.n, dict(zip(mons, coeffs)))
+            solutions = modp_solve_columns(rows, columns, p)
         except SingularMatrix:
             pass
+        else:
+            return [Polynomial(p, dataset.n, dict(zip(mons, x))) for x in solutions]
     raise NotBasic(f"{mons} is not a quotient basis for the inputs")
+
+
+def model_select(dataset, staircase, coordinate):
+    """The unique combination of staircase monomials matching the outputs.
+
+    The staircase must be basic for the input points; the interpolant is
+    solved exactly from the evaluation matrix.
+    """
+    return select_models(dataset, staircase, [coordinate])[0]
 
 
 @dataclass(frozen=True)
@@ -377,18 +396,19 @@ class ModelEnumeration:
 def enumerate_models(dataset, max_box=64, max_points=16):
     """All interpolating models across every quotient basis of the inputs.
 
-    Per coordinate the distinct interpolants are collected in fan order;
-    the total is the product of the per-coordinate counts.
+    Per coordinate the distinct interpolants are collected in fan order,
+    one solve per fan entry covering every coordinate; the total is the
+    product of the per-coordinate counts.
     """
     fan = all_reduced_gbs(dataset.inputs, max_box=max_box, max_points=max_points)
-    per_coordinate = []
-    for j in dataset.coordinates():
-        seen = []
-        for entry in fan.entries:
-            model = model_select(dataset, entry.standard_monomials, j)
+    coordinates = dataset.coordinates()
+    per_coordinate = [[] for _ in coordinates]
+    for entry in fan.entries:
+        models = select_models(dataset, entry.standard_monomials, coordinates)
+        for seen, model in zip(per_coordinate, models):
             if model not in seen:
                 seen.append(model)
-        per_coordinate.append(tuple(seen))
+    per_coordinate = [tuple(seen) for seen in per_coordinate]
     counts = tuple(len(models) for models in per_coordinate)
     total = 1
     for c in counts:
@@ -398,15 +418,17 @@ def enumerate_models(dataset, max_box=64, max_points=16):
     )
 
 
-def min_augmentation(points, k_max, max_sets=20000):
+def min_augmentation(points, k_max, max_sets=20000, max_box=64):
     """Fewest extra points forcing a unique reduced basis.
 
     Complement subsets are scanned by size and then lexicographically;
     the first subset whose union with the points leaves a single basic
     staircase wins.  Returns (k, witness) or None when k_max is exhausted.
-    A negative k_max raises ValueError.  Unless the points already have a
-    unique basis, raises BudgetExceeded before any scan when the subsets
-    of up to k_max points number more than max_sets.
+    A negative k_max raises ValueError.  Before any walk, raises
+    BudgetExceeded when the largest box walked, [0, min(p, m + k))^n for
+    up to k extra points, has more than max_box members.  Unless the
+    points already have a unique basis, raises BudgetExceeded before any
+    scan when the subsets of up to k_max points number more than max_sets.
 
     One value table covers the points and then the complement.  A
     candidate is the first m indices plus those of its extra points, and
@@ -419,12 +441,18 @@ def min_augmentation(points, k_max, max_sets=20000):
     if k_max < 0:
         raise ValueError(f"max_k must be nonnegative, got {k_max}")
     p, n, m = points.p, points.n, len(points)
-    own = _Values(p, n, points.points)
-    if _basic_staircase_count(p, n, m, own.__getitem__, limit=2) == 1:
-        return 0, PointSet(p, n, ())
     free = p**n - m
+    k_top = min(k_max, free)
+    box = min(p, m + k_top) ** n
+    if box > max_box:
+        raise BudgetExceeded(
+            f"box size {box} for up to {k_top} extra points "
+            f"exceeds the budget {max_box}"
+        )
+    if is_unique_gb(points, limit=2)[0]:
+        return 0, PointSet(p, n, ())
     candidates = 0
-    for k in range(min(k_max, free) + 1):
+    for k in range(k_top + 1):
         candidates += comb(free, k)
         if candidates > max_sets:
             raise BudgetExceeded(

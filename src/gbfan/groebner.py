@@ -369,8 +369,9 @@ def _basic_staircases(p, n, m, values):
     """Every staircase of m monomials with an invertible evaluation matrix.
 
     `values(u)` is monomial u's value vector over the m points; over Z_2
-    it is a bit mask whose m point bits may sit anywhere (see `_Values`).  The staircase walk, in the lex order of
-    `enumerate_order_ideals`, where a monomial joins only when its value
+    it is a bit mask whose m point bits may sit anywhere (see `_Values`).
+    The staircases come from `walk_staircases`, in the lex order of
+    `enumerate_order_ideals`, and a monomial joins only when its value
     vector is independent of the members' vectors: those are kept as
     echelon pivots, pushed on the way down and popped on the way back.
     Every subset of a basic staircase has independent vectors, so a
@@ -479,19 +480,36 @@ def _basic_staircase_count(p, n, m, values, limit=None):
     return count
 
 
-def is_unique_gb(points):
+def is_unique_gb(points, limit=None):
     """Whether the vanishing ideal has a single reduced basis.
 
     Returns (unique, basic staircase count): the ideal is unique exactly
     when only one staircase of the right size has an invertible
-    evaluation matrix, which avoids any feasibility solving.
+    evaluation matrix, which avoids any feasibility solving.  With a
+    limit, counting stops once it reaches the limit.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
     p, n = points.p, points.n
     values = _Values(p, n, points.points)
-    count = _basic_staircase_count(p, n, len(points), values.__getitem__)
+    count = _basic_staircase_count(p, n, len(points), values.__getitem__, limit)
     return count == 1, count
+
+
+def check_fan_budget(points, max_box=64, max_points=16):
+    """Refuse a point set whose fan walk would exceed the budgets.
+
+    The walk stays inside [0, min(p, |V|))^n, whose size `max_box` bounds;
+    `max_points` bounds |V|.  Raises EmptyPointSet or BudgetExceeded.
+    """
+    if len(points) == 0:
+        raise EmptyPointSet("empty point set")
+    p, n, m = points.p, points.n, len(points)
+    box = min(p, m) ** n
+    if box > max_box:
+        raise BudgetExceeded(f"box size {box} exceeds the budget {max_box}")
+    if m > max_points:
+        raise BudgetExceeded(f"{m} points exceed the budget {max_points}")
 
 
 def all_reduced_gbs(points, max_box=64, max_points=16):
@@ -509,14 +527,8 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
     its corner in that order: the generators vanish on the points and lead
     at the corners, so the standard monomials are exactly the staircase.
     """
-    if len(points) == 0:
-        raise EmptyPointSet("empty point set")
-    p, n, m = points.p, points.n, len(points)
-    box = min(p, m) ** n
-    if box > max_box:
-        raise BudgetExceeded(f"box size {box} exceeds the budget {max_box}")
-    if m > max_points:
-        raise BudgetExceeded(f"{m} points exceed the budget {max_points}")
+    check_fan_budget(points, max_box, max_points)
+    p, n = points.p, points.n
     entries = []
     for members, tails in _staircase_tails(points):
         diffs = [tuple(map(sub, c, u)) for c, tail in tails for u, _ in tail]

@@ -258,49 +258,66 @@ def height(staircase, j):
 
 
 @lru_cache(maxsize=None)
-def _box_with_divisors(q, n):
-    """The box [0, q)^n in lex order, each member with its divisors u/x_j."""
-    return tuple(
-        (v, tuple(v[:j] + (c - 1,) + v[j + 1 :] for j, c in enumerate(v) if c))
-        for v in _box(q, n)
+def _box_table(q, n):
+    """The box [0, q)^n in lex order, and for each index the bit mask of
+    the indices of its divisors u/x_j.
+
+    Index i holds the vector of the n base-q digits of i, so dividing by
+    x_j moves q^(n-1-j) indices down.
+    """
+    box = _box(q, n)
+    steps = [q ** (n - 1 - j) for j in range(n)]
+    needs = tuple(
+        sum(1 << i - step for step, c in zip(steps, v) if c) for i, v in enumerate(box)
     )
+    return box, needs
 
 
 def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
     """Yield the m-member staircases inside [0, p)^n as sorted member tuples.
 
     Depth-first, in lex order of the member lists, inside [0, min(p, m))^n,
-    which holds every staircase of m members.  A monomial joins once its
-    divisors have and `push(v)` does not return None; whatever it returns
-    goes to `pop` when the walk backtracks past v.  A push that refuses
-    drops every staircase extending the current members by v.
+    which holds every staircase of m members.  The walk is one loop over
+    the lex indices of that box: an int holds one bit per chosen index,
+    and explicit stacks hold the members, their push keys and their
+    indices.  A monomial joins once the bits of its divisors are all set
+    and `push(v)` does not return None; whatever it returns goes to `pop`
+    when the walk backtracks past v.  A push that refuses drops every
+    staircase extending the current members by v.
     """
-    box = _box_with_divisors(min(p, m), n)
-    chosen = []
-    chosen_set = set()
-
-    def extend(start):
-        if len(chosen) == m:
-            yield tuple(chosen)
+    box, needs = _box_table(min(p, m), n)
+    # the member at depth d sits at an index of at most last + d, which
+    # leaves room for the members after it
+    last = len(box) - m
+    members, keys, indices = [], [], []
+    chosen = 0
+    idx = 0
+    while True:
+        depth = len(members)
+        if depth == m:
+            yield tuple(members)
+        else:
+            # lexicographic prefixes of a staircase are staircases, so
+            # growing past the last member reaches every staircase once
+            stop = last + depth
+            while idx <= stop and (
+                needs[idx] & ~chosen or (key := push(box[idx])) is None
+            ):
+                idx += 1
+            if idx <= stop:
+                members.append(box[idx])
+                keys.append(key)
+                indices.append(idx)
+                chosen |= 1 << idx
+                idx += 1
+                continue
+        if not members:
             return
-        # lexicographic prefixes of a staircase are staircases, so growing
-        # past the last member reaches every staircase exactly once
-        for idx in range(start, len(box) - (m - len(chosen)) + 1):
-            v, divisors = box[idx]
-            for d in divisors:
-                if d not in chosen_set:
-                    break
-            else:
-                key = push(v)
-                if key is not None:
-                    chosen.append(v)
-                    chosen_set.add(v)
-                    yield from extend(idx + 1)
-                    chosen_set.discard(v)
-                    chosen.pop()
-                    pop(key)
-
-    return extend(0)
+        members.pop()
+        pop(keys.pop())
+        idx = indices.pop()
+        chosen ^= 1 << idx
+        idx += 1
 
 
 @lru_cache(maxsize=None)

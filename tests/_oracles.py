@@ -3,8 +3,9 @@
 Each oracle is deliberately independent of the library code path it
 checks: subset filters instead of incremental enumeration, exhaustive
 shift scans instead of pruned searches, weight-grid sweeps instead of
-staircase feasibility, and rational Fourier-Motzkin back-substitution
-instead of the integer kernel.
+staircase feasibility, rational Fourier-Motzkin back-substitution
+instead of the integer kernel, and recursive generators instead of the
+staircase walk's flat loop over box indices.
 """
 
 import itertools
@@ -491,3 +492,51 @@ def min_augmentation_reference(points, k_max, max_sets=20000):
             if _basic_count(candidate, limit=2) == 1:
                 return k, PointSet(points.p, points.n, extra)
     return None
+
+
+@lru_cache(maxsize=None)
+def _box_with_divisors(q, n):
+    """The box [0, q)^n in lex order, each member with its divisors u/x_j."""
+    return tuple(
+        (v, tuple(v[:j] + (c - 1,) + v[j + 1 :] for j, c in enumerate(v) if c))
+        for v in itertools.product(range(q), repeat=n)
+    )
+
+
+def walk_staircases_reference(p, n, m, push=lambda v: True, pop=lambda key: None):
+    """Yield the m-member staircases inside [0, p)^n as sorted member tuples.
+
+    Depth-first, in lex order of the member lists, inside [0, min(p, m))^n,
+    which holds every staircase of m members.  A monomial joins once its
+    divisors have and `push(v)` does not return None; whatever it returns
+    goes to `pop` when the walk backtracks past v.  A push that refuses
+    drops every staircase extending the current members by v.  The
+    recursive walk, one generator frame per member; the reference for
+    `points.walk_staircases`.
+    """
+    box = _box_with_divisors(min(p, m), n)
+    chosen = []
+    chosen_set = set()
+
+    def extend(start):
+        if len(chosen) == m:
+            yield tuple(chosen)
+            return
+        # lexicographic prefixes of a staircase are staircases, so growing
+        # past the last member reaches every staircase exactly once
+        for idx in range(start, len(box) - (m - len(chosen)) + 1):
+            v, divisors = box[idx]
+            for d in divisors:
+                if d not in chosen_set:
+                    break
+            else:
+                key = push(v)
+                if key is not None:
+                    chosen.append(v)
+                    chosen_set.add(v)
+                    yield from extend(idx + 1)
+                    chosen_set.discard(v)
+                    chosen.pop()
+                    pop(key)
+
+    return extend(0)

@@ -17,6 +17,7 @@ from gbfan import (
     all_reduced_gbs,
     bm_reduced_gb,
     format_polynomial,
+    is_unique_gb,
     lac_fds,
     parse_polynomial,
 )
@@ -363,6 +364,68 @@ def test_config_allows_no_augmentation(tmp_path, capsys):
     code, out, _ = _run(capsys, ["fds", "augment", pair, "--config", cfg])
     assert code == 0
     assert json.loads(out) == {"exhausted": True, "max_k": 0}
+
+
+def test_unique_builds_the_fan_only_for_several_basic_staircases(
+    tmp_path, capsys, monkeypatch
+):
+    # one basic staircase means one reduced basis, so the fan is never
+    # built; with several the count comes from the fan; either way the
+    # JSON is the fan's
+    import gbfan.cli
+
+    build_fan = gbfan.cli.all_reduced_gbs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fan was built")
+
+    rng = random.Random(41)
+    shapes = [(2, 3), (3, 2), (2, 4), (5, 2)]
+    sets = [random_points(rng, p, n, rng.randint(1, 6)) for p, n in shapes * 6]
+    branches = set()
+    for i, V in enumerate(sets):
+        fan = all_reduced_gbs(V)
+        single = is_unique_gb(V)[1] == 1
+        branches.add(single)
+        monkeypatch.setattr(gbfan.cli, "all_reduced_gbs", refuse if single else build_fan)
+        path = _write(tmp_path, f"set{i}.json", V.to_json())
+        code, out, err = _run(capsys, ["unique", path])
+        assert (code, err) == (0, ""), V
+        expected = {"unique": len(fan) == 1, "gb_count": len(fan)}
+        assert out == json.dumps(expected, indent=2) + "\n"
+    assert branches == {True, False}
+
+    # the fan's budgets are checked before the count, with its exit code and
+    # message, also for a set with a single basic staircase
+    monkeypatch.setattr(gbfan.cli, "all_reduced_gbs", build_fan)
+    stair = _write(tmp_path, "stair.json", {"p": 3, "n": 2, "points": [[0, 0], [0, 1]]})
+    for budget in (["--max-box", "3"], ["--max-points", "1"]):
+        results = [_run(capsys, [cmd, stair, *budget]) for cmd in ("fan", "unique")]
+        assert results[0] == results[1] and results[0][0] == 3, results
+        assert "exceed" in results[0][2]
+    empty = _write(tmp_path, "empty.json", {"p": 3, "n": 2, "points": []})
+    results = [_run(capsys, [cmd, empty]) for cmd in ("fan", "unique")]
+    assert results[0] == results[1] == (2, "", "error: empty point set\n")
+
+
+def test_fds_augment_box_budget(tmp_path, capsys, monkeypatch):
+    # five points in Z_5^7 walk a box of 5^7 members even with --max-k 0:
+    # the box budget refuses them before any walk builds its table
+    import gbfan.points
+
+    def refuse(*args):
+        raise AssertionError("a box table was built")
+
+    monkeypatch.setattr(gbfan.points, "_box_table", refuse)
+    wide = [[i] * 7 for i in range(5)]
+    path = _write(tmp_path, "wide.json", {"p": 5, "n": 7, "points": wide})
+    code, out, err = _run(capsys, ["fds", "augment", path, "--max-k", "0"])
+    assert (code, out) == (3, "")
+    assert err == "error: box size 78125 for up to 0 extra points exceeds the budget 64\n"
+    code, _, err = _run(
+        capsys, ["fds", "augment", path, "--max-k", "0", "--max-box", "78124"]
+    )
+    assert code == 3 and "budget 78124" in err
 
 
 def test_fan_and_unique_in_no_variables(tmp_path, capsys):

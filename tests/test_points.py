@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -17,8 +18,8 @@ from gbfan import (
     is_staircase,
     layer,
 )
-from gbfan.points import eval_monomial
-from _oracles import brute_force_order_ideals
+from gbfan.points import eval_monomial, walk_staircases
+from _oracles import brute_force_order_ideals, walk_staircases_reference
 
 
 def test_point_set_canonical_order_and_validation():
@@ -182,3 +183,55 @@ def test_staircases_read_as_points_round_trip():
         V = PointSet(3, 2, ideal.points)
         assert V.points == ideal.points
         assert is_staircase(V)
+
+
+def _walk_log(walk, p, n, m, rng, stop=None):
+    # every push, refusal, pop and yield of one walk, in order; push i is
+    # refused when the seeded draw says so, and each pop must receive the
+    # key of the latest push not yet popped
+    log, open_keys = [], []
+    calls = itertools.count()
+
+    def push(v):
+        if rng.random() < 0.25:
+            log.append(("refuse", v))
+            return None
+        key = (next(calls), v)
+        open_keys.append(key)
+        log.append(("push", v))
+        return key
+
+    def pop(key):
+        assert key == open_keys.pop()
+        log.append(("pop", key[1]))
+
+    walker = walk(p, n, m, push, pop)
+    for members in itertools.islice(walker, stop):
+        log.append(("yield", members))
+    walker.close()
+    return log
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(2, 0), (3, 0), *((2, n) for n in range(1, 7)), *((3, n) for n in range(1, 5)),
+     (5, 1), (5, 2), (5, 3), (7, 2)],
+)
+def test_walk_matches_recursive_reference(p, n):
+    # the index and mask walk yields the reference's staircases in its
+    # order, makes the same pushes and pops when pushes refuse, and stops
+    # as the reference does when the caller breaks off
+    size = p**n
+    sizes = range(size + 1) if size <= 49 else [*range(10), *range(size - 2, size + 1)]
+    for m in sizes:
+        got = list(walk_staircases(p, n, m))
+        assert got == list(walk_staircases_reference(p, n, m)), m
+        assert len(set(got)) == len(got)
+        for seed in range(3):
+            for stop in (None, 1, 3):
+                new = _walk_log(walk_staircases, p, n, m, random.Random(seed), stop)
+                ref = _walk_log(
+                    walk_staircases_reference, p, n, m, random.Random(seed), stop
+                )
+                assert new == ref, (m, seed, stop)
+
