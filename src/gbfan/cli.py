@@ -213,7 +213,7 @@ def cmd_unique(args, config):
 
 def cmd_staircase(args, config):
     points = load_point_set(args.points, config.p, config.n)
-    found = find_staircase_shift(points)
+    found = find_staircase_shift(points, max_box=config.max_box)
     if found is None:
         _emit({"found": False}, config)
     else:

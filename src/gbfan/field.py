@@ -294,21 +294,68 @@ def modp_row_rank(rows, p):
     return _gauss_jordan(work, len(work[0]) if work else 0, p)
 
 
-def modp_reduce(vec, basis, p):
-    """Reduce a vector in place against echelon rows; return the multipliers.
+class ModpRows:
+    """Echelon rows over Z_p for vectors of m values, each packed in one int.
 
-    `basis` lists (pivot, row) pairs in the order the rows were found: each
-    row is 1 at its own pivot and 0 at the pivots of the rows before it.
-    The multiplier of a row is what was subtracted of it, 0 when skipped.
+    Every entry has a slot of w bits, entry i of the values in slot m + i
+    and entry j of a combination of members in slot j, the way Z_2 rows
+    keep their values above their combination bits.  A row is 1 at its
+    pivot and 0 at the pivots of the rows before it, and is stored negated,
+    each slot holding (p - x) % p.  Subtracting c times a row adds c
+    times its negation, so every addend is nonnegative and at most
+    (p - 1)^2; at most m rows reduce a vector whose slots start below p, so
+    with w = ((p - 1) + m*(p - 1)^2).bit_length() no slot carries into the
+    next, and a slot is read as `(vec >> s & full) % p`.
     """
-    coeffs = []
-    for piv, row in basis:
-        c = vec[piv]
-        if c:
-            for i in range(len(vec)):
-                vec[i] = (vec[i] - c * row[i]) % p
-        coeffs.append(c)
-    return coeffs
+
+    __slots__ = ("p", "m", "width", "full", "rows")
+
+    def __init__(self, p, m):
+        self.p = p
+        self.m = m
+        self.width = ((p - 1) + m * (p - 1) ** 2).bit_length()
+        self.full = (1 << self.width) - 1
+        self.rows = []
+
+    def pack(self, values):
+        """The values in their slots, with a zero combination."""
+        w = self.width
+        vec = 0
+        for x in reversed(values):
+            vec = vec << w | x
+        return vec << self.m * w
+
+    def reduce(self, vec):
+        """Subtract from vec the multiple of each row that clears its pivot."""
+        p, full = self.p, self.full
+        for s, row in self.rows:
+            c = (vec >> s & full) % p
+            if c:
+                vec += c * row
+        return vec
+
+    def insert(self, vec):
+        """Add a reduced vector as a row and return its pivot's bit offset,
+        or return None when its values are all 0 mod p."""
+        p, w, full = self.p, self.width, self.full
+        top = 2 * self.m * w
+        for piv in range(self.m * w, top, w):
+            x = (vec >> piv & full) % p
+            if x:
+                break
+        else:
+            return None
+        scale = p - pow(x, -1, p)
+        row = 0
+        for s in range(top - w, -1, -w):
+            row = row << w | (vec >> s & full) * scale % p
+        self.rows.append((piv, row))
+        return piv
+
+    def combination(self, vec, k):
+        """The first k combination slots of a vector, each read mod p."""
+        p, w, full = self.p, self.width, self.full
+        return [(vec >> s & full) % p for s in range(0, k * w, w)]
 
 
 def gf2_reduce(mask, pivots):

@@ -9,12 +9,16 @@ fan) comes from a depth-first walk over the basic staircases alone,
 pruned as soon as the value vectors of a partial staircase become
 dependent.  The walk's echelon rows carry their combinations of the
 members, so each corner's tail is read off by reducing its value vector.
-A staircase is kept when a strictly positive weight vector makes every
-corner larger than its tail terms: a pair of opposite corner-minus-tail
-differences refutes it at once, and otherwise integer Fourier-Motzkin
-elimination decides it and rebuilds the witness.  Its basis is read off
-the tails, under a certificate that each tail lies below its corner in
-the witness order.
+A row is one int: a bit mask over Z_2, and over Z_p a `ModpRows` row of
+slots wide enough that no reduction carries between them; interpolation
+uses the same rows.  A staircase is kept when a strictly positive weight
+vector makes every corner larger than its tail terms: a pair of opposite
+corner-minus-tail differences refutes it at once, and otherwise integer
+Fourier-Motzkin elimination decides it and rebuilds the witness.  The
+elimination drops each derived row that Chernikov's rule shows implied,
+and refuses, with BudgetExceeded, a step that would pair more than
+FM_MAX_PAIRS rows.  Its basis is read off the tails, under a certificate
+that each tail lies below its corner in the witness order.
 """
 
 import heapq
@@ -23,8 +27,8 @@ from math import gcd
 from operator import itemgetter, mul, neg, sub
 
 from .errors import BudgetExceeded, EmptyPointSet
-from .field import gf2_reduce, modp_reduce
-from .points import OrderIdealSet, walk_staircases
+from .field import ModpRows, gf2_reduce
+from .points import OrderIdealSet, check_box_budget, walk_staircases
 from .poly import (
     MarkedPolynomial,
     Polynomial,
@@ -133,7 +137,9 @@ def bm_reduced_gb(points, order):
 
     A successor's values are its parent's values times one coordinate of
     each point, so at most 1 + n*|V| monomials are visited and the work
-    does not depend on p.
+    does not depend on p.  The span is kept as packed `ModpRows` rows, each
+    carrying its combination of the standard monomials, so reducing a
+    dependent vector leaves the generator's coefficients in its slots.
     """
     if len(points) == 0:
         raise EmptyPointSet("cannot interpolate an empty point set")
@@ -144,9 +150,8 @@ def bm_reduced_gb(points, order):
     border = [(order.key(one), one, [1] * m)]
     queued = {one}
 
+    echelon = ModpRows(p, m)
     sm = []
-    basis = []
-    row_combos = []
     generators = []
     leads = []
 
@@ -159,22 +164,18 @@ def bm_reduced_gb(points, order):
                 break
         if skip:
             continue
-        residual = list(values)
-        acc = _combine(modp_reduce(residual, basis, p), row_combos, p)
-        piv = next((i for i, x in enumerate(residual) if x), None)
-        if piv is None:
+        k = len(sm)
+        vec = echelon.reduce(echelon.pack(values))
+        # a 1 in combination slot k makes a new row stand for member k, u
+        if k == m or echelon.insert(vec | 1 << k * echelon.width) is None:
+            # vec is 0 on the points: u plus its combination of the members
             terms = {u: 1}
-            for j, cj in enumerate(acc):
-                if cj:
-                    terms[sm[j]] = p - cj
+            for v, c in zip(sm, echelon.combination(vec, k)):
+                if c:
+                    terms[v] = c
             generators.append(MarkedPolynomial(Polynomial(p, n, terms), u))
             leads.append(u)
         else:
-            inv = pow(residual[piv], -1, p)
-            basis.append((piv, [x * inv % p for x in residual]))
-            combo = [(-x * inv) % p for x in acc]
-            combo.append(inv % p)
-            row_combos.append(combo)
             sm.append(u)
             for j in range(n):
                 w = u[:j] + (u[j] + 1,) + u[j + 1 :]
@@ -209,20 +210,6 @@ def _corners(members, n):
     return sorted(w for w, c in hits.items() if c == n - w.count(0))
 
 
-def _combine(coeffs, combos, p):
-    """Member coefficients of what `modp_reduce` removed from a vector.
-
-    Echelon row i is the combination `combos[i]` of the members' value
-    vectors, and the multiplier `coeffs[i]` says how much of it was
-    removed; a vector reduced to zero equals the returned combination.
-    """
-    acc = [0] * len(combos)
-    for c, combo in zip(coeffs, combos):
-        if c:
-            acc[: len(combo)] = [a + c * x for a, x in zip(acc, combo)]
-    return [x % p for x in acc]
-
-
 def _opposite_pair(diffs):
     """A difference whose negation is also among the differences, or None.
 
@@ -236,21 +223,58 @@ def _opposite_pair(diffs):
     return None
 
 
+# the most row pairs one Fourier-Motzkin elimination step may combine
+FM_MAX_PAIRS = 10**6
+
+
 def _positive_weight_witness(diffs, nvars):
     """Integer w with every coordinate positive and w.d > 0 for each given
     integer difference d, or None when no such vector exists.
 
     Strictness is encoded as margin >= 1; for homogeneous integer systems
-    this is equivalent to strict positivity under scaling.  Rows (a, b)
-    stand for a.w >= b.  Variables are eliminated successively, each time
-    the one whose positive and negative row counts have the least
-    product, and derived rows are divided by the gcd of their entries.
-    The witness is rebuilt by back-substitution, taking each variable at
-    its largest lower bound, over one common integer denominator, and
-    rescaled to the smallest integer vector on its ray.
+    this is equivalent to strict positivity under scaling.  The elimination
+    runs with Chernikov's pruning; a witness it rebuilds is checked against
+    every difference and, should the check fail, the system is solved
+    again without pruning.  Raises BudgetExceeded when an elimination step
+    would pair more than FM_MAX_PAIRS rows.
     """
-    rows = {(tuple(int(j == i) for j in range(nvars)), 1) for i in range(nvars)}
-    rows.update((tuple(d), 1) for d in diffs)
+    witness = _fm_witness(diffs, nvars, prune=True)
+    if witness is None or _is_witness(witness, diffs):
+        return witness
+    witness = _fm_witness(diffs, nvars, prune=False)
+    if witness is not None and not _is_witness(witness, diffs):
+        raise RuntimeError("witness reconstruction violated a constraint")
+    return witness
+
+
+def _is_witness(w, diffs):
+    return all(x > 0 for x in w) and all(sum(map(mul, w, d)) > 0 for d in diffs)
+
+
+def _fm_witness(diffs, nvars, prune):
+    """Fourier-Motzkin elimination on integer rows, with back-substitution.
+
+    Rows (a, b) stand for a.w >= b: a unit row for each coordinate and one
+    row per distinct difference, each input with a bit of its own.
+    Variables are eliminated successively, each time the one whose
+    positive and negative row counts have the least product, and derived
+    rows are divided by the gcd of their entries.  A derived row carries
+    the bit mask of the inputs it combines.  With `prune`, after k
+    eliminations a pair whose masks together hold more than k + 1 bits is
+    skipped before any arithmetic: such a row is implied by the others
+    (Chernikov 1965; Imbert 1993).  A row derived twice keeps the mask it
+    was first derived with, which the caller's check covers.  The witness
+    is rebuilt by back-substitution, taking each variable at its largest
+    lower bound, over one common integer denominator, and rescaled to the
+    smallest integer vector on its ray; None means the rows are
+    infeasible, which the inputs then are too.
+    """
+    rows = {}
+    for i in range(nvars):
+        rows.setdefault((tuple(int(j == i) for j in range(nvars)), 1), 1 << len(rows))
+    for d in diffs:
+        rows.setdefault((tuple(d), 1), 1 << len(rows))
+    inputs = len(rows)
 
     steps = []
     remaining = list(range(nvars))
@@ -261,20 +285,29 @@ def _positive_weight_witness(diffs, nvars):
                 below = sum(x < 0 for x in col)
                 counts[v] = (len(col) - col.count(0) - below) * below
         var = min(remaining, key=lambda v: (counts[v], v))
+        if counts[var] > FM_MAX_PAIRS:
+            raise BudgetExceeded(
+                f"Fourier-Motzkin step of {counts[var]} row pairs exceeds "
+                f"the budget {FM_MAX_PAIRS}"
+            )
         remaining.remove(var)
         steps.append((var, rows))
-        pos_rows, neg_rows, new_rows = [], [], set()
-        for row in rows:
+        limit = len(steps) + 1 if prune else inputs
+        pos_rows, neg_rows, new_rows = [], [], {}
+        for row, mask in rows.items():
             x = row[0][var]
             if x > 0:
-                pos_rows.append(row)
+                pos_rows.append((row, mask))
             elif x < 0:
-                neg_rows.append(row)
+                neg_rows.append((row, mask))
             else:
-                new_rows.add(row)
-        for ap, bp in pos_rows:
+                new_rows[row] = mask
+        for (ap, bp), pos_mask in pos_rows:
             mn = ap[var]
-            for an, bn in neg_rows:
+            for (an, bn), neg_mask in neg_rows:
+                mask = pos_mask | neg_mask
+                if mask.bit_count() > limit:
+                    continue
                 mp = -an[var]
                 coeffs = [mp * x + mn * y for x, y in zip(ap, an)]
                 rhs = mp * bp + mn * bn
@@ -287,7 +320,7 @@ def _positive_weight_witness(diffs, nvars):
                 if g > 1:
                     coeffs = [x // g for x in coeffs]
                     rhs //= g
-                new_rows.add((tuple(coeffs), rhs))
+                new_rows.setdefault((tuple(coeffs), rhs), mask)
         rows = new_rows
 
     # variable j has the value num[j] / den; unassigned ones hold 0
@@ -308,13 +341,7 @@ def _positive_weight_witness(diffs, nvars):
         den *= q
 
     g = gcd(*num)
-    ints = tuple(x // g for x in num)
-    if any(x <= 0 for x in ints):
-        raise RuntimeError("witness reconstruction produced a nonpositive weight")
-    for d in diffs:
-        if sum(map(mul, ints, d)) <= 0:
-            raise RuntimeError("witness reconstruction violated a constraint")
-    return ints
+    return tuple(x // g for x in num)
 
 
 class _Values(dict):
@@ -390,20 +417,13 @@ def _basic_staircases(p, n, m, values):
 
         pop = pivots.pop
     else:
-        basis = []
+        echelon = ModpRows(p, m)
 
         def push(u):
-            vec = list(values(u))
-            modp_reduce(vec, basis, p)
-            piv = next((i for i, x in enumerate(vec) if x), None)
-            if piv is None:
-                return None
-            inv = pow(vec[piv], -1, p)
-            basis.append((piv, [x * inv % p for x in vec]))
-            return piv
+            return echelon.insert(echelon.reduce(echelon.pack(values(u))))
 
         def pop(_):
-            basis.pop()
+            echelon.rows.pop()
 
     return walk_staircases(p, n, m, push, pop)
 
@@ -417,9 +437,10 @@ def _staircase_tails(points):
     corner's vector reads off the unique member coefficients of its
     interpolant.  Over Z_2 a row is one bit mask: the values sit above the
     low m bits, which hold the combination, one bit per member.  Over Z_p
-    the combination is a coefficient list, weighed by the multipliers of
-    `modp_reduce`.  Yields (members, tails) with one (corner, [(member,
-    coefficient), ...]) per corner in sorted order, zero terms left out.
+    it is one `ModpRows` row, whose low m slots hold the combination; a
+    reduced corner's slots hold minus its tail.  Yields (members, tails)
+    with one (corner, [(member, coefficient), ...]) per corner in sorted
+    order, zero terms left out.
     """
     p, n, m = points.p, points.n, len(points)
     values = _Values(p, n, points.points)
@@ -441,28 +462,24 @@ def _staircase_tails(points):
             return [combo >> j & 1 for j in range(m)]
 
     else:
-        basis = []
-        combos = []
+        echelon = ModpRows(p, m)
+        packed = {}
+
+        def vector(u):
+            vec = packed.get(u)
+            if vec is None:
+                vec = packed[u] = echelon.pack(values[u])
+            return vec
 
         def push(u):
-            vec = list(values[u])
-            coeffs = modp_reduce(vec, basis, p)
-            piv = next((i for i, x in enumerate(vec) if x), None)
-            if piv is None:
-                return None
-            inv = pow(vec[piv], -1, p)
-            basis.append((piv, [x * inv % p for x in vec]))
-            combo = [-x * inv % p for x in _combine(coeffs, combos, p)]
-            combo.append(inv)
-            combos.append(combo)
-            return piv
+            seed = 1 << len(echelon.rows) * echelon.width
+            return echelon.insert(echelon.reduce(vector(u) | seed))
 
         def pop(_):
-            basis.pop()
-            combos.pop()
+            echelon.rows.pop()
 
         def tail(c):
-            return _combine(modp_reduce(list(values[c]), basis, p), combos, p)
+            return [-x % p for x in echelon.combination(echelon.reduce(vector(c)), m)]
 
     for members in walk_staircases(p, n, m, push, pop):
         yield members, [
@@ -504,10 +521,8 @@ def check_fan_budget(points, max_box=64, max_points=16):
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
-    p, n, m = points.p, points.n, len(points)
-    box = min(p, m) ** n
-    if box > max_box:
-        raise BudgetExceeded(f"box size {box} exceeds the budget {max_box}")
+    m = len(points)
+    check_box_budget(points.p, points.n, m, max_box)
     if m > max_points:
         raise BudgetExceeded(f"{m} points exceed the budget {max_points}")
 

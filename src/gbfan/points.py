@@ -9,7 +9,7 @@ import itertools
 from functools import lru_cache
 from math import prod
 
-from .errors import DimensionMismatch, EmptyStaircase
+from .errors import BudgetExceeded, DimensionMismatch, EmptyStaircase
 from .field import MatrixZp, gf2_row_rank, is_prime, modp_row_rank
 
 
@@ -271,6 +271,17 @@ def _box_table(q, n):
         sum(1 << i - step for step, c in zip(steps, v) if c) for i, v in enumerate(box)
     )
     return box, needs
+
+
+def check_box_budget(p, n, m, max_box):
+    """Refuse a walk over staircases of m monomials whose box is too large.
+
+    Such a walk stays inside [0, min(p, m))^n, whose size `max_box`
+    bounds.  Raises BudgetExceeded.
+    """
+    box = min(p, m) ** n
+    if box > max_box:
+        raise BudgetExceeded(f"box size {box} exceeds the budget {max_box}")
 
 
 def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):

@@ -16,7 +16,7 @@ from operator import add
 
 from .errors import BudgetExceeded, DimensionMismatch, ModulusMismatch
 from .field import is_prime
-from .points import PointSet, box_points, enumerate_order_ideals
+from .points import PointSet, box_points, check_box_budget, enumerate_order_ideals
 from .poly import Polynomial
 
 
@@ -176,12 +176,15 @@ def detect_shift(source, target):
     return None
 
 
-def find_staircase_shift(points):
+def find_staircase_shift(points, max_box=64):
     """A staircase and the shift carrying it onto the points, or None.
 
     Every staircase of matching size is tried; among the successes the
     pair with the lexicographically smallest shift coefficients wins.
+    Those staircases lie in [0, min(p, |V|))^n, and a box larger than
+    `max_box` raises BudgetExceeded before any is listed.
     """
+    check_box_budget(points.p, points.n, len(points), max_box)
     best = None
     for ideal in enumerate_order_ideals(points.p, points.n, len(points)):
         shift = detect_shift(ideal, points)

@@ -4,8 +4,9 @@ Each oracle is deliberately independent of the library code path it
 checks: subset filters instead of incremental enumeration, exhaustive
 shift scans instead of pruned searches, weight-grid sweeps instead of
 staircase feasibility, rational Fourier-Motzkin back-substitution
-instead of the integer kernel, and recursive generators instead of the
-staircase walk's flat loop over box indices.
+instead of the integer kernel, recursive generators instead of the
+staircase walk's flat loop over box indices, and echelon rows as lists
+instead of packed ints.
 """
 
 import itertools
@@ -540,3 +541,67 @@ def walk_staircases_reference(p, n, m, push=lambda v: True, pop=lambda key: None
                     pop(key)
 
     return extend(0)
+
+
+def staircase_tails_reference(points):
+    """Each basic staircase with the tail of each of its corners.
+
+    Lists instead of packed rows: echelon rows are (pivot, row) pairs, 1 at
+    their own pivot and 0 at the pivots before, each with the list of
+    member coefficients it stands for.  Reducing a vector records what was
+    subtracted of each row, and those multipliers, weighed by the rows'
+    coefficients, give its combination of the members.  Values come from
+    `eval_monomial`, staircases from `walk_staircases_reference` and
+    corners from `corners_reference`.  The reference for
+    `groebner._staircase_tails`: a list of (members, tails) with one
+    (corner, [(member, coefficient), ...]) per corner, zero terms left out.
+    """
+    p, n, m = points.p, points.n, len(points)
+    basis = []
+    combos = []
+
+    def vector(u):
+        return [eval_monomial(v, u, p) for v in points.points]
+
+    def reduce(vec):
+        coeffs = []
+        for piv, row in basis:
+            c = vec[piv]
+            if c:
+                for i in range(m):
+                    vec[i] = (vec[i] - c * row[i]) % p
+            coeffs.append(c)
+        return coeffs
+
+    def combine(coeffs):
+        acc = [0] * len(combos)
+        for c, combo in zip(coeffs, combos):
+            if c:
+                acc[: len(combo)] = [a + c * x for a, x in zip(acc, combo)]
+        return [x % p for x in acc]
+
+    def push(u):
+        vec = vector(u)
+        coeffs = reduce(vec)
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return None
+        inv = pow(vec[piv], -1, p)
+        basis.append((piv, [x * inv % p for x in vec]))
+        combo = [-x * inv % p for x in combine(coeffs)]
+        combo.append(inv)
+        combos.append(combo)
+        return piv
+
+    def pop(_):
+        basis.pop()
+        combos.pop()
+
+    out = []
+    for members in walk_staircases_reference(p, n, m, push, pop):
+        tails = []
+        for c in corners_reference(members, n):
+            coeffs = combine(reduce(vector(c)))
+            tails.append((c, [(u, x) for u, x in zip(members, coeffs) if x]))
+        out.append((members, tails))
+    return out

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -535,3 +536,55 @@ def test_no_augmentation_never_lists_the_box(tmp_path):
     code, out, err = _run_module(tmp_path, ["fds", "augment", line, "--max-k", "0"])
     assert (code, err) == (0, "")
     assert json.loads(out) == {"exhausted": True, "max_k": 0}
+
+
+def test_staircase_box_budget(tmp_path, capsys, monkeypatch):
+    # five diagonal points in Z_5^7 once walked every staircase of a box of
+    # 5^7 members; the box budget refuses them before any walk
+    import gbfan.points
+
+    def refuse(*args):
+        raise AssertionError("a box table was built")
+
+    monkeypatch.setattr(gbfan.points, "_box_table", refuse)
+    diagonal = [[i] * 7 for i in range(5)]
+    path = _write(tmp_path, "diagonal.json", {"p": 5, "n": 7, "points": diagonal})
+    code, out, err = _run(capsys, ["staircase", path])
+    assert (code, out, err) == (3, "", "error: box size 78125 exceeds the budget 64\n")
+    code, _, err = _run(capsys, ["staircase", path, "--max-box", "78124"])
+    assert code == 3 and err == "error: box size 78125 exceeds the budget 78124\n"
+
+
+def test_fm_pair_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # a Fourier-Motzkin step over the pair budget stops every command that
+    # builds a fan, with one line on stderr
+    import gbfan.groebner
+
+    monkeypatch.setattr(gbfan.groebner, "FM_MAX_PAIRS", 3)
+    path = _write(tmp_path, "s5.json", S5)
+    dataset = DataSet.from_fds(lac_fds(), PointSet.from_json(S5))
+    data = _write(tmp_path, "s5-data.json", dataset.to_json())
+    for argv in (["fan", path], ["unique", path], ["fds", "models", data]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert re.fullmatch(
+            r"error: Fourier-Motzkin step of \d+ row pairs exceeds the budget 3\n", err
+        ), err
+
+
+ELEVEN = [
+    [0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 1, 1], [0, 1, 0, 0, 1, 1], [0, 1, 0, 1, 0, 0],
+    [1, 0, 0, 1, 0, 1], [1, 1, 0, 0, 0, 1], [1, 1, 0, 0, 1, 0], [1, 1, 0, 1, 1, 0],
+    [1, 1, 1, 0, 1, 1], [1, 1, 1, 1, 0, 1], [1, 1, 1, 1, 1, 0],
+]
+
+
+def test_fan_and_unique_on_eleven_points_in_z2_6(tmp_path, capsys):
+    # under the default budgets these took over 180 s without pruning
+    path = _write(tmp_path, "eleven.json", {"p": 2, "n": 6, "points": ELEVEN})
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["fan", path])
+    assert code == 0 and len(json.loads(out)["entries"]) == 232
+    code, out, _ = _run(capsys, ["unique", path])
+    assert (code, json.loads(out)) == (0, {"unique": False, "gb_count": 232})
+    assert time.perf_counter() - start < 20

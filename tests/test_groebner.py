@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,8 @@ from gbfan import (
     universal_basis,
     verify_reduced_gb,
 )
-from gbfan.field import modp_solve_columns
+import gbfan.groebner
+from gbfan.field import ModpRows, modp_row_rank, modp_solve_columns
 from gbfan.groebner import (
     _Values,
     _basic_staircases,
@@ -44,10 +46,42 @@ from _oracles import (
     random_point_set,
     random_points,
     random_shift,
+    staircase_tails_reference,
     weight_grid_bases,
+    weight_grid_sm_sets,
 )
 
 TOY = PointSet(3, 2, [(0, 0), (1, 0), (2, 1)])
+
+# (differences, variables) -> (reference witness, pruned witness), for each
+# call of the tests below whose witness moves under Chernikov's pruning
+MOVED_WITNESSES = {}
+
+
+@pytest.fixture
+def fm_matches_reference(monkeypatch):
+    """Check every Fourier-Motzkin call of the test against the reference.
+
+    Pruning drops only rows the others imply, so verdicts must agree; a
+    witness may move where pruning changes which variable goes next, and
+    each such call is listed in MOVED_WITNESSES.
+    """
+    kernel = gbfan.groebner._positive_weight_witness
+    calls = {}
+
+    def recording(diffs, nvars):
+        witness = kernel(diffs, nvars)
+        calls[tuple(diffs), nvars] = witness
+        return witness
+
+    monkeypatch.setattr(gbfan.groebner, "_positive_weight_witness", recording)
+    yield
+    assert calls
+    for (diffs, nvars), witness in calls.items():
+        expected = fm_witness_reference(diffs, nvars)
+        assert (witness is None) == (expected is None), diffs
+        if witness != expected:
+            assert MOVED_WITNESSES.get((diffs, nvars)) == (expected, witness), diffs
 
 
 def _polys(basis):
@@ -110,6 +144,7 @@ def test_bm_deterministic():
     assert a == b
 
 
+@pytest.mark.usefixtures("fm_matches_reference")
 def test_fan_toy():
     fan = all_reduced_gbs(TOY)
     assert len(fan) == 2
@@ -127,6 +162,7 @@ def test_fan_toy():
     assert set(data["entries"][0]) == {"sm", "gb", "witness_weight"}
 
 
+@pytest.mark.usefixtures("fm_matches_reference")
 def test_fan_staircase_and_s5():
     assert len(all_reduced_gbs(PointSet(3, 2, [(0, 0), (0, 1), (1, 0)]))) == 1
     S5 = PointSet(2, 4, [(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0), (1, 1, 1, 1)])
@@ -261,6 +297,7 @@ def test_membership_equals_normal_form_vanishing():
             assert (not reduced) == member
 
 
+@pytest.mark.usefixtures("fm_matches_reference")
 def test_fan_matches_weight_grid_oracle_small():
     rng = random.Random(71)
     for _ in range(12):
@@ -273,6 +310,7 @@ def test_fan_matches_weight_grid_oracle_small():
         assert fan_sms == oracle_sms
 
 
+@pytest.mark.usefixtures("fm_matches_reference")
 def test_fan_matches_weight_grid_oracle_larger_primes():
     rng = random.Random(99)
     for p, n in [(5, 1), (7, 1), (5, 2)]:
@@ -285,6 +323,7 @@ def test_fan_matches_weight_grid_oracle_larger_primes():
             assert fan_sms == oracle_sms, (p, n, V.points)
 
 
+@pytest.mark.usefixtures("fm_matches_reference")
 def test_complement_has_same_fan_size():
     # a set and its complement in the ambient box carry the same number of
     # reduced bases, a duality entirely independent of the enumeration path
@@ -296,6 +335,7 @@ def test_complement_has_same_fan_size():
         assert len(all_reduced_gbs(V)) == len(all_reduced_gbs(V.complement()))
 
 
+@pytest.mark.usefixtures("fm_matches_reference")
 def test_uniqueness_fast_path_matches_fan_size():
     rng = random.Random(79)
     for _ in range(40):
@@ -307,6 +347,7 @@ def test_uniqueness_fast_path_matches_fan_size():
         assert count >= len(fan)  # basic staircases include all initial ones
 
 
+@pytest.mark.usefixtures("fm_matches_reference")
 @pytest.mark.parametrize(
     "p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 1), (2, 5)]
 )
@@ -378,6 +419,7 @@ def test_fan_layers_match_references(p, n):
                 assert _positive_weight_witness(diffs, n) == expected, (V, members)
 
 
+@pytest.mark.usefixtures("fm_matches_reference")
 def test_structural_invariants_on_random_bases():
     rng = random.Random(73)
     for _ in range(25):
@@ -472,3 +514,114 @@ def test_large_p_bases_match_sympy(p):
         }
         ours = {frozenset(g.poly.terms.items()) for g in basis.generators}
         assert ours == theirs, name
+
+
+@pytest.mark.parametrize(
+    "p,n,most",
+    [(3, 2, 9), (3, 3, 10), (3, 4, 10), (5, 2, 12), (5, 3, 8), (7, 2, 12), (2, 4, 10)],
+)
+def test_packed_tails_match_list_reference(p, n, most):
+    # the tails read off packed rows equal those of list rows, walked by the
+    # recursive reference walk, staircase by staircase and corner by corner
+    rng = random.Random(600 + 10 * p + n)
+    for _ in range(8):
+        V = random_points(rng, p, n, rng.randint(1, most))
+        assert list(_staircase_tails(V)) == staircase_tails_reference(V), V
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 2**31 - 1])
+def test_packed_rows_against_list_elimination(p):
+    # vectors of p - 1 everywhere fill every slot as far as it can go; each
+    # dependent vector equals its combination of the vectors kept before
+    rng = random.Random(p)
+    for m in (1, 2, 5, 12):
+        echelon = ModpRows(p, m)
+        assert echelon.width == ((p - 1) + m * (p - 1) ** 2).bit_length()
+        vectors = [[p - 1] * m] + [
+            [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(m)]
+            for _ in range(3 * m)
+        ]
+        kept = []
+        for vec in vectors:
+            k = len(kept)
+            seed = 1 << k * echelon.width if k < m else 0
+            reduced = echelon.reduce(echelon.pack(vec) | seed)
+            independent = k < m and echelon.insert(reduced) is not None
+            assert independent == (modp_row_rank(kept + [vec], p) > k)
+            if independent:
+                kept.append(vec)
+            else:
+                combo = echelon.combination(reduced, k)
+                assert all(
+                    (x + sum(c * row[i] for c, row in zip(combo, kept))) % p == 0
+                    for i, x in enumerate(vec)
+                )
+        assert len(kept) == modp_row_rank(vectors, p)
+
+
+def test_border_walk_matches_box_scan_at_the_widest_slots():
+    # 20 points mod 251 under the benchmark's gb orders: the widest packed
+    # rows its gb ops reach
+    assert ModpRows(251, 20).width == 21
+    V = random_points(random.Random(251), 251, 2, 20)
+    for order in (GrevLexOrder(), GrLexOrder(), LexOrder(), WeightOrder((2, 3))):
+        assert _basis_layout(bm_reduced_gb(V, order)) == _basis_layout(
+            box_scan_reduced_gb(V, order)
+        ), order
+
+
+def test_fm_falls_back_to_unpruned_elimination(monkeypatch):
+    # a pruned system that gives a wrong witness is solved again unpruned
+    kernel = gbfan.groebner._fm_witness
+    pruned = []
+
+    def spoiled(diffs, nvars, prune):
+        pruned.append(prune)
+        return (1,) * nvars if prune else kernel(diffs, nvars, prune)
+
+    monkeypatch.setattr(gbfan.groebner, "_fm_witness", spoiled)
+    diffs = [(1, -2), (-1, 3)]
+    assert _positive_weight_witness(diffs, 2) == fm_witness_reference(diffs, 2) == (5, 2)
+    assert pruned == [True, False]
+    assert _positive_weight_witness([(1, -1)], 2) == (2, 1)
+    assert pruned[2:] == [True, False]
+
+
+def test_fm_pair_budget(monkeypatch):
+    # a step pairs its rows only when their count is within the budget
+    diffs = [(1, -1, 0), (0, 1, -1), (-1, 0, 2)]
+    assert _positive_weight_witness(diffs, 3) == fm_witness_reference(diffs, 3)
+    # every variable has two rows above and one below, so each step pairs 2
+    monkeypatch.setattr(gbfan.groebner, "FM_MAX_PAIRS", 2)
+    assert _positive_weight_witness(diffs, 3) == fm_witness_reference(diffs, 3)
+    monkeypatch.setattr(gbfan.groebner, "FM_MAX_PAIRS", 1)
+    with pytest.raises(BudgetExceeded) as info:
+        _positive_weight_witness(diffs, 3)
+    assert str(info.value) == "Fourier-Motzkin step of 2 row pairs exceeds the budget 1"
+
+
+# 11 points in Z_2^6 whose fan took over 180 s without pruning
+ELEVEN = PointSet(2, 6, [
+    (0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 1, 1), (0, 1, 0, 0, 1, 1), (0, 1, 0, 1, 0, 0),
+    (1, 0, 0, 1, 0, 1), (1, 1, 0, 0, 0, 1), (1, 1, 0, 0, 1, 0), (1, 1, 0, 1, 1, 0),
+    (1, 1, 1, 0, 1, 1), (1, 1, 1, 1, 0, 1), (1, 1, 1, 1, 1, 0),
+])
+
+
+def test_eleven_points_in_z2_6_finish():
+    start = time.perf_counter()
+    fan = all_reduced_gbs(ELEVEN)
+    assert time.perf_counter() - start < 20
+    assert len(fan) == 232
+    staircases = set(fan.staircases())
+    for entry in fan.entries:
+        verify_reduced_gb(entry.basis, ELEVEN)
+        assert bm_reduced_gb(ELEVEN, WeightOrder(entry.witness_weight)) == entry.basis
+    # every order of the grid and of random weights lands on a fan staircase
+    found = weight_grid_sm_sets(ELEVEN, grid_max=1)
+    rng = random.Random(11)
+    for _ in range(200):
+        weights = [rng.randint(1, 16) for _ in range(6)]
+        tie = rng.sample(range(6), 6)
+        found.add(bm_reduced_gb(ELEVEN, WeightOrder(weights, tie=tie)).standard_monomials.points)
+    assert found <= {s.points for s in staircases}
