@@ -74,6 +74,7 @@ from .groebner import (
     ReducedGroebnerBasis,
     all_reduced_gbs,
     bm_reduced_gb,
+    fan_size,
     ideal_membership,
     is_unique_gb,
     transport_gb,

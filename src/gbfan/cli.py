@@ -29,6 +29,7 @@ from .groebner import (
     all_reduced_gbs,
     bm_reduced_gb,
     check_fan_budget,
+    fan_size,
     is_unique_gb,
     transport_gb,
 )
@@ -38,6 +39,7 @@ from .poly import (
     GrLexOrder,
     LexOrder,
     WeightOrder,
+    format_monomial,
     format_polynomial,
 )
 from .shifts import classify, detect_shift, find_staircase_shift
@@ -152,22 +154,12 @@ def _gb_json(basis, names=None):
 
 def _gb_text(basis, names=None):
     lines = ["standard monomials: " + ", ".join(
-        _format_monomial(u, names) for u in basis.standard_monomials.points
+        format_monomial(u, names) for u in basis.standard_monomials.points
     )]
     lines.append("basis:")
     for g in basis.generators:
         lines.append("  " + format_polynomial(g.poly, basis.order, names))
     return "\n".join(lines)
-
-
-def _format_monomial(exponents, names=None):
-    factors = []
-    for i, e in enumerate(exponents):
-        if not e:
-            continue
-        name = names[i] if names else f"x{i + 1}"
-        factors.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(factors) if factors else "1"
 
 
 def cmd_gb(args, config):
@@ -203,10 +195,7 @@ def cmd_unique(args, config):
     if is_unique_gb(points, limit=2)[0]:
         count = 1
     else:
-        fan = all_reduced_gbs(
-            points, max_box=config.max_box, max_points=config.max_points
-        )
-        count = len(fan)
+        count = fan_size(points, max_box=config.max_box, max_points=config.max_points)
     _emit({"unique": count == 1, "gb_count": count}, config)
     return 0
 

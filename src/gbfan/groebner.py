@@ -17,8 +17,10 @@ corner-minus-tail differences refutes it at once, and otherwise integer
 Fourier-Motzkin elimination decides it and rebuilds the witness.  The
 elimination drops each derived row that Chernikov's rule shows implied,
 and refuses, with BudgetExceeded, a step that would pair more than
-FM_MAX_PAIRS rows.  Its basis is read off the tails, under a certificate
-that each tail lies below its corner in the witness order.
+FM_MAX_PAIRS rows.  One generator yields the staircases that pass both
+tests: `fan_size` only counts them, for callers that need the number of
+bases, and `all_reduced_gbs` reads each basis off its tails, under a
+certificate that each tail lies below its corner in the witness order.
 """
 
 import heapq
@@ -279,11 +281,12 @@ def _fm_witness(diffs, nvars, prune):
     steps = []
     remaining = list(range(nvars))
     while remaining:
+        columns = list(zip(*[a for a, _ in rows]))
         counts = {}
-        for v, col in enumerate(zip(*[a for a, _ in rows])):
-            if v in remaining:
-                below = sum(x < 0 for x in col)
-                counts[v] = (len(col) - col.count(0) - below) * below
+        for v in remaining:
+            col = columns[v]
+            below = len([x for x in col if x < 0])
+            counts[v] = (len(col) - col.count(0) - below) * below
         var = min(remaining, key=lambda v: (counts[v], v))
         if counts[var] > FM_MAX_PAIRS:
             raise BudgetExceeded(
@@ -527,31 +530,53 @@ def check_fan_budget(points, max_box=64, max_points=16):
         raise BudgetExceeded(f"{m} points exceed the budget {max_points}")
 
 
+def _coherent_staircases(points):
+    """Each basic staircase whose corners a strictly positive weight puts
+    above every term of their tails.
+
+    The staircases and tails come from `_staircase_tails`.  Two opposite
+    differences c - u refute a staircase, and otherwise the Fourier-Motzkin
+    kernel decides.  Yields (members, tails, witness); this is the one
+    place that filters the fan's staircases.
+    """
+    n = points.n
+    for members, tails in _staircase_tails(points):
+        diffs = [tuple(map(sub, c, u)) for c, tail in tails for u, _ in tail]
+        if _opposite_pair(diffs) is not None:
+            continue
+        witness = _positive_weight_witness(diffs, n)
+        if witness is not None:
+            yield members, tails, witness
+
+
+def fan_size(points, max_box=64, max_points=16):
+    """The number of distinct reduced Groebner bases of the vanishing ideal.
+
+    Counts the staircases `all_reduced_gbs` would list, under the same
+    budgets, without building their bases.
+    """
+    check_fan_budget(points, max_box, max_points)
+    return sum(1 for _ in _coherent_staircases(points))
+
+
 def all_reduced_gbs(points, max_box=64, max_points=16):
     """Every distinct reduced Groebner basis of the vanishing ideal.
 
     Candidates are the basic staircases of size |V|, from the pruned walk
     over [0, min(p, |V|))^n; `max_box` bounds the size of that box.  The
     tail of each corner c, its interpolant over the staircase, is read off
-    the walk's echelon rows.  The candidate is kept when a strictly
-    positive weight vector makes every corner larger than each term of its
-    tail: two opposite differences c - u refute it, and otherwise the
-    Fourier-Motzkin kernel decides.  The basis is then read off those
-    tails, one generator c - tail(c) per corner, sorted by the witness
-    order.  A certificate checks that each tail term lies below
-    its corner in that order: the generators vanish on the points and lead
-    at the corners, so the standard monomials are exactly the staircase.
+    the walk's echelon rows, and `_coherent_staircases` keeps a candidate
+    when a strictly positive weight vector makes every corner larger than
+    each term of its tail.  The basis is then read off those tails, one
+    generator c - tail(c) per corner, sorted by the witness order.  A
+    certificate checks that each tail term lies below its corner in that
+    order: the generators vanish on the points and lead at the corners, so
+    the standard monomials are exactly the staircase.
     """
     check_fan_budget(points, max_box, max_points)
     p, n = points.p, points.n
     entries = []
-    for members, tails in _staircase_tails(points):
-        diffs = [tuple(map(sub, c, u)) for c, tail in tails for u, _ in tail]
-        if _opposite_pair(diffs) is not None:
-            continue
-        witness = _positive_weight_witness(diffs, n)
-        if witness is None:
-            continue
+    for members, tails, witness in _coherent_staircases(points):
         order = WeightOrder(witness)
         key = {u: order.key(u) for u in (*members, *(c for c, _ in tails))}
         generators = []
@@ -563,8 +588,9 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
                         f"tail term {u} does not lie below its corner {corner}"
                     )
                 terms[u] = p - coeff
-            generators.append(MarkedPolynomial(Polynomial(p, n, terms), corner))
-        staircase = OrderIdealSet(p, n, members)
+            poly = Polynomial._from_reduced(p, n, terms)
+            generators.append(MarkedPolynomial(poly, corner))
+        staircase = OrderIdealSet._from_walk(p, n, members)
         basis = ReducedGroebnerBasis(order, generators, staircase)
         entries.append(FanEntry(staircase, basis, witness))
     entries.sort(key=lambda e: e.standard_monomials.points)

@@ -165,6 +165,19 @@ class OrderIdealSet(PointSet):
         if not is_staircase(self):
             raise ValueError(f"{list(self.points)} is not downward closed")
 
+    @classmethod
+    def _from_walk(cls, p, n, members):
+        """A staircase that takes a tuple of members as it is: sorted,
+        distinct, downward closed and inside [0, p)^n, as
+        `walk_staircases` yields them.  Nothing is checked.
+        """
+        s = object.__new__(cls)
+        s.p = p
+        s.n = n
+        s.points = members
+        s._members = set(members)
+        return s
+
     @property
     def members(self):
         return self.points

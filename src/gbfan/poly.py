@@ -6,6 +6,8 @@ injective on exponent vectors, which makes each order strict and total.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -130,13 +132,16 @@ class WeightOrder(MonomialOrder):
         )
         if len(self.tie) != len(ws):
             raise ValueError("tie permutation length differs from weight length")
+        self._identity_tie = self.tie == tuple(range(len(ws)))
 
     def key(self, u):
         if len(u) != len(self.weights):
             raise DimensionMismatch(
                 f"exponent length {len(u)} against weight vector of {len(self.weights)}"
             )
-        dot = sum(w * e for w, e in zip(self.weights, u))
+        dot = sum(map(mul, self.weights, u))
+        if self._identity_tie:
+            return (dot, tuple(u))
         return (dot, tuple(u[i] for i in self.tie))
 
     def _params(self):
@@ -191,6 +196,19 @@ class Polynomial:
         self.p = p
         self.n = n
         self.terms = tidy
+
+    @classmethod
+    def _from_reduced(cls, p, n, terms):
+        """A polynomial that takes a dict of reduced terms as it is: length-n
+        tuples of nonnegative exponents, each with a coefficient in [1, p).
+
+        For terms the package built itself; nothing is checked or copied.
+        """
+        f = object.__new__(cls)
+        f.p = p
+        f.n = n
+        f.terms = terms
+        return f
 
     @classmethod
     def zero(cls, p, n):
@@ -494,29 +512,40 @@ def parse_polynomial(text, p, n):
     return Polynomial(p, n, terms)
 
 
+@lru_cache(maxsize=4096)
+def format_monomial(u, names=None):
+    """Render the monomial with exponent vector u, '1' for the constant.
+
+    Factors are joined by '*'; '^' appears only on exponents above 1.
+    `names` is a tuple of variable names, x1..xn when None.
+    """
+    factors = []
+    for i, e in enumerate(u):
+        if e:
+            name = names[i] if names else f"x{i + 1}"
+            factors.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(factors) if factors else "1"
+
+
 def format_polynomial(f, order=None, names=None):
     """Render a polynomial with terms in strictly descending order.
 
     Coefficients print reduced to [1, p); a unit coefficient is omitted
-    except on the constant term; '^' appears only on exponents above 1.
+    except on the constant term; monomials print by `format_monomial`.
     """
     if order is None:
         order = GrevLexOrder()
     if not f.terms:
         return "0"
+    if names is not None:
+        names = tuple(names)
     parts = []
     for u in sorted(f.terms, key=order.key, reverse=True):
         c = f.terms[u]
-        factors = []
-        for i, e in enumerate(u):
-            if not e:
-                continue
-            name = names[i] if names else f"x{i + 1}"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        if not factors:
+        if not any(u):
             parts.append(str(c))
         elif c == 1:
-            parts.append("*".join(factors))
+            parts.append(format_monomial(u, names))
         else:
-            parts.append(f"{c}*" + "*".join(factors))
+            parts.append(f"{c}*{format_monomial(u, names)}")
     return " + ".join(parts)

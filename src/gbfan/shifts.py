@@ -325,13 +325,13 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
     basis count is shared by every class in one orbit of the group
     generated by shifts and coordinate permutations: a permutation of the
     variables carries the vanishing ideal of V onto that of the permuted
-    set, and its fan onto the permuted fan.  So one fan is computed per
-    such orbit, whose shift classes are reached from the fan's class by
-    adjacent coordinate swaps.  `max_sets` bounds the population of an
+    set, and its fan onto the permuted fan.  So one fan is counted, by
+    `fan_size`, per such orbit, whose shift classes are reached from the
+    fan's class by adjacent coordinate swaps.  `max_sets` bounds the population of an
     exhaustive sweep, the shift group's order (each new class costs that
     many images) and the subsets held for sharing.
     """
-    from .groebner import all_reduced_gbs
+    from .groebner import fan_size
 
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
@@ -398,8 +398,8 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
         entry = class_of.get(subset)
         if entry is None:
             orbit = _index_orbit([box[i] for i in subset], tables)
-            fan = all_reduced_gbs(PointSet(p, n, [box[i] for i in orbit[0]]), **budget)
-            entry = register(orbit, len(fan))
+            count = fan_size(PointSet(p, n, [box[i] for i in orbit[0]]), **budget)
+            entry = register(orbit, count)
             share(orbit[0], entry.gb_count)
         hit.add(entry)
         if entry.unique:

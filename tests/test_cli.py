@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -95,6 +96,32 @@ def test_gb_text_format(tmp_path, capsys):
     assert code == 0
     assert out.startswith("standard monomials: 1, x1, x1^2")
     assert "x1^3 + 2*x1" in out
+
+
+def test_fan_text_format_with_names(tmp_path, capsys):
+    toy = _write(tmp_path, "toy.json", TOY)
+    code, out, _ = _run(capsys, ["fan", toy, "--format", "text", "--names", "a,b"])
+    assert code == 0
+    assert out == (
+        "2 reduced bases\n"
+        "witness weight 1,1\n"
+        "standard monomials: 1, b, a\n"
+        "basis:\n"
+        "  b^2 + 2*b\n"
+        "  a*b + b\n"
+        "  a^2 + 2*a + b\n"
+        "witness weight 1,3\n"
+        "standard monomials: 1, a, a^2\n"
+        "basis:\n"
+        "  b + a^2 + 2*a\n"
+        "  a^3 + 2*a\n"
+    )
+    # an empty name prints as an empty factor, never as the constant
+    code, out, _ = _run(
+        capsys, ["gb", toy, "--order", "lex:2,1", "--format", "text", "--names", ",b"]
+    )
+    assert code == 0
+    assert out.startswith("standard monomials: 1, , ^2\n")
 
 
 def test_gb_empty_points_exits_2(tmp_path, capsys):
@@ -525,6 +552,44 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "budget 100" in err
+
+
+def test_main_leaves_the_standard_streams_in_place(tmp_path, capsys):
+    # the benchmark captures each in-process call; a command that rebinds
+    # sys.stdout would send later output, its result line too, elsewhere
+    toy = _write(tmp_path, "toy.json", TOY)
+    for argv in (
+        ["classify", "--p", "2", "--n", "3", "--m", "3"],
+        ["unique", toy],
+        ["fan", toy, "--format", "text"],
+        ["fan", toy, "--max-box", "1"],
+        ["gb", toy, "--order", "nonsense"],
+    ):
+        streams = sys.stdout, sys.stderr
+        main(argv)
+        assert (sys.stdout, sys.stderr) == streams, argv
+    capsys.readouterr()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_traced_benchmark_run_ends_in_a_result_line():
+    # the benchmark reads a run's last stdout line as its result
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "classify_sweep",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=SRC.parent, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse_constant)
+    assert isinstance(result, dict)
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    assert result["metrics"]
+    for name, metric in result["metrics"].items():
+        value = metric["value"]
+        assert type(value) in (int, float) and math.isfinite(value), (name, value)
 
 
 def test_no_augmentation_never_lists_the_box(tmp_path):

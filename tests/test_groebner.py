@@ -11,6 +11,8 @@ from gbfan import (
     GrLexOrder,
     LexOrder,
     LinearShift,
+    MarkedPolynomial,
+    OrderIdealSet,
     PointSet,
     Polynomial,
     WeightOrder,
@@ -19,6 +21,7 @@ from gbfan import (
     bm_reduced_gb,
     box_points,
     enumerate_order_ideals,
+    fan_size,
     ideal_membership,
     is_basic,
     is_unique_gb,
@@ -303,11 +306,13 @@ def test_fan_matches_weight_grid_oracle_small():
     for _ in range(12):
         p, n = rng.choice([(2, 2), (3, 2), (2, 3)])
         V = random_point_set(rng, p, n, max_size=5)
-        fan_sms = {e.standard_monomials.points for e in all_reduced_gbs(V).entries}
+        fan = all_reduced_gbs(V)
+        fan_sms = {e.standard_monomials.points for e in fan.entries}
         oracle_sms = {
             basis.standard_monomials.points for basis in weight_grid_bases(V)
         }
         assert fan_sms == oracle_sms
+        assert fan_size(V) == len(fan)
 
 
 @pytest.mark.usefixtures("fm_matches_reference")
@@ -316,11 +321,13 @@ def test_fan_matches_weight_grid_oracle_larger_primes():
     for p, n in [(5, 1), (7, 1), (5, 2)]:
         for _ in range(2):
             V = random_point_set(rng, p, n, max_size=6)
-            fan_sms = {e.standard_monomials.points for e in all_reduced_gbs(V).entries}
+            fan = all_reduced_gbs(V)
+            fan_sms = {e.standard_monomials.points for e in fan.entries}
             oracle_sms = {
                 basis.standard_monomials.points for basis in weight_grid_bases(V)
             }
             assert fan_sms == oracle_sms, (p, n, V.points)
+            assert fan_size(V) == len(fan)
 
 
 @pytest.mark.usefixtures("fm_matches_reference")
@@ -368,7 +375,38 @@ def test_pruned_walk_and_tail_bases_match_oracles(p, n):
         for entry in fan.entries:
             redo = bm_reduced_gb(V, WeightOrder(entry.witness_weight))
             assert entry.basis == redo, (V, entry.witness_weight)
+            _assert_validated(entry, V)
         assert is_unique_gb(V) == (len(fan) == 1, len(basic))
+        assert fan_size(V, max_box=p**n, max_points=m) == len(fan)
+
+
+def _assert_validated(entry, V):
+    """The entry equals one built through the validating constructors."""
+    p, n = V.p, V.n
+    for g in entry.basis.generators:
+        rebuilt = MarkedPolynomial(Polynomial(p, n, g.poly.terms), g.leading)
+        assert g == rebuilt and (g.poly.p, g.poly.n) == (p, n), g
+    sm = entry.standard_monomials
+    rebuilt = OrderIdealSet(p, n, sm.points)
+    assert sm == rebuilt and type(sm) is OrderIdealSet
+    assert all(v in sm for v in rebuilt) and len(sm) == len(rebuilt)
+    assert entry.basis.standard_monomials is sm
+    verify_reduced_gb(entry.basis, V)
+
+
+@pytest.mark.usefixtures("fm_matches_reference")
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_fan_size_counts_the_validated_fan(p, n):
+    # random sets over Z_2, Z_3 and Z_5: the count-only path agrees with the
+    # fan, and every entry passes the validating constructors and the
+    # structural check of a reduced basis
+    rng = random.Random(1300 + 10 * p + n)
+    for _ in range(12):
+        V = random_point_set(rng, p, n, max_size=min(p**n - 1, 9))
+        fan = all_reduced_gbs(V, max_box=p**n)
+        assert fan_size(V, max_box=p**n) == len(fan), V
+        for entry in fan.entries:
+            _assert_validated(entry, V)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,8 @@ from gbfan import (
     normal_form,
     parse_polynomial,
 )
+from gbfan.poly import format_monomial
+
 
 def _panel(n):
     return [
@@ -56,6 +59,21 @@ def test_weight_order_validation():
     with pytest.raises(ValueError):
         WeightOrder((1, 1), tie=(0, 0))
     assert WeightOrder(("1/2", 3)).weights[0].denominator == 2
+
+
+@pytest.mark.parametrize(
+    "weights", [(1, 1, 1), (3, 1, 2), (Fraction(1, 2), 3, Fraction(5, 3))]
+)
+def test_weight_key_equals_generic_formula(weights):
+    # the identity tie-break keys by the exponent tuple itself; every tie
+    # keys as (w.u, the exponents read in tie order)
+    for tie in [None, *itertools.permutations(range(3))]:
+        order = WeightOrder(weights, tie=tie)
+        perm = tie or (0, 1, 2)
+        for u in itertools.product(range(4), repeat=3):
+            dot = sum(Fraction(w) * e for w, e in zip(weights, u))
+            assert order.key(u) == (dot, tuple(u[i] for i in perm)), (tie, u)
+            assert order.key(list(u)) == order.key(u)
 
 
 def test_total_order_exhaustive():
@@ -251,6 +269,17 @@ def test_format_examples():
         format_polynomial(g, WeightOrder((1, 1)), names=("x", "y"))
         == "2*x^2 + y + 1"
     )
+
+
+def test_format_monomial_examples():
+    assert format_monomial((0, 0)) == "1"
+    assert format_monomial(()) == "1"
+    assert format_monomial((1, 0, 3)) == "x1*x3^3"
+    assert format_monomial((2, 1), ("a", "b")) == "a^2*b"
+    assert format_monomial((0, 1), ("a", "b")) == "b"
+    # an empty name is an empty factor, not the constant monomial
+    assert format_monomial((1, 0), ("", "b")) == ""
+    assert format_polynomial(Polynomial(3, 2, {(1, 0): 2}), names=["", "b"]) == "2*"
 
 
 def test_parse_format_round_trip():

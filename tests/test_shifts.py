@@ -330,14 +330,14 @@ def test_classify_computes_one_fan_per_orbit_with_permutations(monkeypatch):
 
     import gbfan.groebner
 
-    fan = gbfan.groebner.all_reduced_gbs
+    fan_size = gbfan.groebner.fan_size
     calls = []
 
     def counted(points, **budget):
         calls.append(points)
-        return fan(points, **budget)
+        return fan_size(points, **budget)
 
-    monkeypatch.setattr(gbfan.groebner, "all_reduced_gbs", counted)
+    monkeypatch.setattr(gbfan.groebner, "fan_size", counted)
     for p, n in [(2, 3), (3, 2)]:
         shifts = all_shift_list(p, n)
         perms = list(itertools.permutations(range(n)))
