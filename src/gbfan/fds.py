@@ -24,7 +24,14 @@ from .groebner import (
     is_unique_gb,
 )
 from .field import modp_solve_columns
-from .points import PointSet, box_points, evaluation_rows, require, require_object
+from .points import (
+    PointSet,
+    _LexStandardSets,
+    box_points,
+    evaluation_rows,
+    require,
+    require_object,
+)
 from .poly import Polynomial, format_polynomial, parse_polynomial
 
 
@@ -430,7 +437,12 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
     points already have a unique basis, raises BudgetExceeded before any
     scan when the subsets of up to k_max points number more than max_sets.
 
-    One value table covers the points and then the complement.  A
+    A candidate is refuted first by two lex orders, the identity
+    precedence and its reverse: their standard sets come from fiber counts
+    on a bit mask of the candidate's points (`points._LexStandardSets`,
+    memoised for this call), and when they differ the candidate has two
+    reduced bases.  Only a candidate on which they agree is walked.  One
+    value table covers the points and then the complement; such a
     candidate is the first m indices plus those of its extra points, and
     the table restricted to them gives the walk its value vectors, so no
     candidate builds a point set.  With k_max = 0 the complement is never
@@ -463,8 +475,18 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
         return None
     complement = points.complement().points
     table = _Values(p, n, points.points + complement)
+    lex = _LexStandardSets(p, n)
+    spots = [lex.index(v) for v in points.points + complement]
+    base = sum(1 << i for i in spots[:m])
+    forward = tuple(range(n))
+    backward = forward[::-1]
     for k in range(1, k_max + 1):
         for extra in itertools.combinations(range(m, m + free), k):
+            mask = base
+            for i in extra:
+                mask |= 1 << spots[i]
+            if lex(mask, forward) != lex(mask, backward):
+                continue
             values = table.restrict(m, extra)
             if _basic_staircase_count(p, n, m + k, values, limit=2) == 1:
                 return k, PointSet(p, n, [complement[i - m] for i in extra])

@@ -8,6 +8,7 @@ conversion.
 import itertools
 from functools import lru_cache
 from math import prod
+from operator import mul
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptyStaircase
 from .field import MatrixZp, gf2_row_rank, is_prime, modp_row_rank
@@ -342,6 +343,96 @@ def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
         idx = indices.pop()
         chosen ^= 1 << idx
         idx += 1
+
+
+class _LexStandardSets:
+    """Lex standard sets of point sets in Z_p^n, with no elimination.
+
+    A point set, and a set of exponent vectors, is held as a bit mask over
+    the lex indices of the box [0, p)^n.  Under lex with leading variable
+    x_j, let T_a be the projections along x_j of the points whose fiber
+    holds more than a points.  Then the standard set is the union over a
+    of x_j^a times the standard set of T_a in the remaining variables
+    (Cerlienco-Mureddu 1995; Felszeghy-Ráth-Rónyai 2006).  A projection
+    keeps its points where coordinate j is 0, so every mask stays on the
+    one box.  Over Z_2 the T_a come from the two slices x_j = 0, 1 in a
+    few mask operations; over Z_p they are counted point by point, so the
+    cost follows the number of points, not p.
+
+    The projections are memoised for the life of the instance, one dict
+    per precedence and depth, keyed on the mask.  The masks asked for at
+    the top are not: each is a new candidate set, and memoising them
+    would hold one mask of p^n bits per candidate.
+    """
+
+    def __init__(self, p, n):
+        self.p = p
+        self.steps = [p ** (n - 1 - j) for j in range(n)]
+        # floors[j], which the Z_2 split reads, has the bits of the indices
+        # whose coordinate j is 0: the low `step` bits of every block of
+        # step * p bits
+        self.floors = [
+            ((1 << p**n) - 1) // ((1 << step * p) - 1) * ((1 << step) - 1)
+            for step in self.steps
+        ]
+        self.plans = {}
+
+    def index(self, point):
+        """The lex index of a point in the box, the position of its bit."""
+        return sum(map(mul, point, self.steps))
+
+    def __call__(self, mask, precedence):
+        """The standard set of the points in `mask` under the lex order
+        whose variables, by precedence, are the tuple `precedence`, as
+        `LexOrder(precedence)` orders them."""
+        plan = self.plans.get(precedence)
+        if plan is None:
+            plan = [
+                (None if depth == 0 else {}, self.steps[j], self.floors[j])
+                for depth, j in enumerate(precedence)
+            ]
+            self.plans[precedence] = plan
+        return self._standard(mask, plan, 0)
+
+    def _standard(self, mask, plan, depth):
+        if not mask & (mask - 1):
+            # no point, or one: the standard set is empty, or {1}
+            return 1 if mask else 0
+        memo, step, floor = plan[depth]
+        if memo is not None:
+            found = memo.get(mask)
+            if found is not None:
+                return found
+        below = depth + 1
+        if self.p == 2:
+            # T_0 = V0 | V1 and T_1 = V0 & V1 for the slices x_j = 0, 1
+            low = mask & floor
+            high = mask >> step & floor
+            found = self._standard(low | high, plan, below)
+            both = low & high
+            if both:
+                found |= self._standard(both, plan, below) << step
+        else:
+            # fibers[a] is T_a, kept as running counts: each point puts its
+            # projection into the first T_a that lacks it
+            fibers = []
+            rest = mask
+            while rest:
+                i = rest.bit_length() - 1
+                rest ^= 1 << i
+                bit = 1 << i - i // step % self.p * step
+                for a, fiber in enumerate(fibers):
+                    if not fiber & bit:
+                        fibers[a] = fiber | bit
+                        break
+                else:
+                    fibers.append(bit)
+            found = 0
+            for a, fiber in enumerate(fibers):
+                found |= self._standard(fiber, plan, below) << a * step
+        if memo is not None:
+            memo[mask] = found
+        return found
 
 
 @lru_cache(maxsize=None)

@@ -467,9 +467,10 @@ def min_augmentation_reference(points, k_max, max_sets=20000):
     """Fewest extra points forcing a unique reduced basis.
 
     Every candidate is built as its own `PointSet` by `points.union` and
-    walked on a value table over exactly its points.  The reference for
-    `fds.min_augmentation`, whose candidates are bit masks or index picks
-    on one table.
+    walked on a value table over exactly its points, with no lex
+    refutation.  The reference for `fds.min_augmentation`, which refutes
+    most candidates by two lex staircases and walks the rest as bit masks
+    or index picks on one table.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")

@@ -32,6 +32,7 @@ from gbfan import (
     state_space,
     weak_components,
 )
+from gbfan import fds
 from _oracles import (
     brute_force_models,
     brute_force_order_ideals,
@@ -330,6 +331,33 @@ def test_min_augmentation_matches_reference(p, n, sizes, k_maxes):
     lone = PointSet(p, 0, [()])
     assert min_augmentation(lone, 2) == min_augmentation_reference(lone, 2)
     assert min_augmentation(lone, 2) == (0, PointSet(p, 0, ()))
+
+
+def test_lex_refutation_keeps_the_walk_only_scan(monkeypatch):
+    # refuting candidates whose two lex staircases differ gives the (k,
+    # witness) of walking every candidate, and leaves few walks: on S5 the
+    # witness is the 1,033rd candidate, and only 3 candidates are walked
+    walks = []
+    counted = fds._basic_staircase_count
+
+    def count(*args, **kwargs):
+        walks.append(args[2])
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(fds, "_basic_staircase_count", count)
+    rng = random.Random(1515)
+    cases = [(S5, 8)]
+    cases += [(PointSet(2, 4, rng.sample(box_points(2, 4), m)), 8)
+              for m in (4, 5, 6, 7) for _ in range(3)]
+    cases += [(PointSet(3, 2, rng.sample(box_points(3, 2), m)), 4)
+              for m in (3, 4, 5) for _ in range(2)]
+    for V, k_max in cases:
+        walks.clear()
+        got = min_augmentation(V, k_max)
+        assert got == min_augmentation_reference(V, k_max), V
+        if V == S5:
+            assert got[0] == 6 and is_unique_gb(S5.union(got[1].points))[0]
+            assert len(walks) == 3
 
 
 def test_min_augmentation_lists_no_box_before_its_budget(monkeypatch):

@@ -18,7 +18,9 @@ from gbfan import (
     is_staircase,
     layer,
 )
-from gbfan.points import eval_monomial, walk_staircases
+from gbfan.groebner import bm_reduced_gb
+from gbfan.poly import LexOrder
+from gbfan.points import _box, _LexStandardSets, eval_monomial, walk_staircases
 from _oracles import brute_force_order_ideals, walk_staircases_reference
 
 
@@ -235,3 +237,31 @@ def test_walk_matches_recursive_reference(p, n):
                 )
                 assert new == ref, (m, seed, stop)
 
+
+S5 = PointSet(2, 4, [(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0), (1, 1, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "p,n,sets", [(2, 1, 4), (2, 2, 12), (2, 3, 20), (2, 4, 20), (2, 5, 8),
+                 (3, 2, 20), (3, 3, 12), (5, 2, 20), (5, 3, 4), (13, 2, 6)],
+)
+def test_lex_standard_sets_match_interpolation(p, n, sets):
+    # the fiber-count kernel gives, under every variable precedence, the
+    # standard monomials of Buchberger-Moeller interpolation under that lex
+    # order, with one instance and its memo shared by every set
+    rng = random.Random(1500 + 10 * p + n)
+    box = box_points(p, n)
+    lex = _LexStandardSets(p, n)
+    cases = [PointSet(p, n, rng.sample(box, rng.randint(1, min(len(box), 14))))
+             for _ in range(sets)]
+    if (p, n) == (2, 4):
+        cases.append(S5)
+    for V in cases:
+        mask = sum(1 << lex.index(v) for v in V.points)
+        for perm in itertools.permutations(range(n)):
+            got = lex(mask, perm)
+            got = tuple(u for i, u in enumerate(_box(p, n)) if got >> i & 1)
+            want = bm_reduced_gb(V, LexOrder(perm)).standard_monomials.points
+            assert got == want, (V, perm)
+    # the empty set has no standard monomial
+    assert lex(0, tuple(range(n))) == 0

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -27,6 +28,7 @@ from gbfan import (
     parse_polynomial,
     shift_orbit,
 )
+from gbfan.points import _LexStandardSets
 from _oracles import (
     all_shift_list,
     brute_force_detect,
@@ -395,3 +397,30 @@ def test_permuted_sets_have_permuted_fans():
             for s in fan_v.staircases()
         }
         assert moved == {s.points for s in fan_w.staircases()}
+
+
+@pytest.mark.parametrize(
+    "p,n,m,classes,unique,staircases",
+    [(2, 4, 4, 140, 22, 10), (2, 4, 5, 273, 37, 13), (2, 4, 6, 553, 48, 18),
+     (3, 3, 4, 124, 13, 10)],
+)
+def test_unique_classes_are_those_whose_lex_staircases_agree(
+    p, n, m, classes, unique, staircases
+):
+    # Over these exhaustive sweeps a shift class has a unique reduced basis
+    # exactly when the n! lex orders give its representative one standard
+    # set.  Two differing lex staircases prove non-uniqueness; the converse
+    # is conjectured, and pinned here.  Shifted staircases are unique, as
+    # the paper proves, and they are a minority of the unique classes.
+    report = classify(p, n, m)
+    assert (len(report.classes), sum(c.unique for c in report.classes)) == (classes, unique)
+    lex = _LexStandardSets(p, n)
+    perms = list(itertools.permutations(range(n)))
+    shifted = 0
+    for c in report.classes:
+        mask = sum(1 << lex.index(v) for v in c.representative)
+        assert (len({lex(mask, perm) for perm in perms}) == 1) == c.unique, c
+        if find_staircase_shift(PointSet(p, n, c.representative)) is not None:
+            assert c.unique, c
+            shifted += 1
+    assert shifted == staircases
