@@ -8,7 +8,7 @@ one interpolating model per quotient basis of its input ideal.
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .errors import (
     BudgetExceeded,
@@ -20,7 +20,8 @@ from .errors import (
 from .groebner import (
     _Values,
     _basic_staircase_count,
-    all_reduced_gbs,
+    _coherent_staircases,
+    check_fan_budget,
     is_unique_gb,
 )
 from .field import modp_solve_columns
@@ -385,10 +386,15 @@ def model_select(dataset, staircase, coordinate):
 
 @dataclass(frozen=True)
 class ModelEnumeration:
+    """The distinct models per coordinate, in the order of `coordinates()`
+    of the data set, each tuple in first-seen fan order; their counts; the
+    total, the product of the counts; and the staircases of the fan, as
+    sorted member tuples in fan order."""
+
     models: tuple
     counts: tuple
     total: int
-    fan: object
+    staircases: tuple
 
     def to_json(self):
         return {
@@ -403,25 +409,32 @@ class ModelEnumeration:
 def enumerate_models(dataset, max_box=64, max_points=16):
     """All interpolating models across every quotient basis of the inputs.
 
-    Per coordinate the distinct interpolants are collected in fan order,
-    one solve per fan entry covering every coordinate; the total is the
-    product of the per-coordinate counts.
+    The fan walk of `groebner._coherent_staircases`, under the budgets of
+    `check_fan_budget`, reduces each coordinate's outputs against the same
+    echelon rows it reads the corners' tails off, so every staircase of
+    the fan gives its interpolants with no evaluation matrix or solve of
+    its own.  Per coordinate the distinct interpolants are kept in fan
+    order, the lex order of the staircases' member lists, and a polynomial
+    is built only for each distinct one.
     """
-    fan = all_reduced_gbs(dataset.inputs, max_box=max_box, max_points=max_points)
+    inputs = dataset.inputs
+    check_fan_budget(inputs, max_box, max_points)
     coordinates = dataset.coordinates()
-    per_coordinate = [[] for _ in coordinates]
-    for entry in fan.entries:
-        models = select_models(dataset, entry.standard_monomials, coordinates)
-        for seen, model in zip(per_coordinate, models):
-            if model not in seen:
-                seen.append(model)
-    per_coordinate = [tuple(seen) for seen in per_coordinate]
-    counts = tuple(len(models) for models in per_coordinate)
-    total = 1
-    for c in counts:
-        total *= c
+    targets = [dataset.outputs[j] for j in coordinates]
+    staircases = []
+    distinct = [{} for _ in coordinates]
+    for members, _, _, fits in _coherent_staircases(inputs, targets):
+        staircases.append(members)
+        for seen, fit in zip(distinct, fits):
+            seen.setdefault(tuple(fit))
+    p, n = dataset.p, dataset.n
+    models = tuple(
+        tuple(Polynomial._from_reduced(p, n, dict(fit)) for fit in seen)
+        for seen in distinct
+    )
+    counts = tuple(map(len, models))
     return ModelEnumeration(
-        models=tuple(per_coordinate), counts=counts, total=total, fan=fan
+        models=models, counts=counts, total=prod(counts), staircases=tuple(staircases)
     )
 
 

@@ -8,25 +8,28 @@ and not with p.  The complete collection over all orders (the algebraic
 fan) comes from a depth-first walk over the basic staircases alone,
 pruned as soon as the value vectors of a partial staircase become
 dependent.  The walk's echelon rows carry their combinations of the
-members, so each corner's tail is read off by reducing its value vector.
+members, so each corner's tail is read off by reducing its value vector,
+and so is the interpolant of any target vector of values over the points.
 A row is one int: a bit mask over Z_2, and over Z_p a `ModpRows` row of
 slots wide enough that no reduction carries between them; interpolation
 uses the same rows.  A staircase is kept when a strictly positive weight
 vector makes every corner larger than its tail terms: a pair of opposite
-corner-minus-tail differences refutes it at once, and otherwise integer
-Fourier-Motzkin elimination decides it and rebuilds the witness.  The
-elimination drops each derived row that Chernikov's rule shows implied,
-and refuses, with BudgetExceeded, a step that would pair more than
-FM_MAX_PAIRS rows.  One generator yields the staircases that pass both
+corner-minus-tail differences refutes it as soon as the second is built,
+and otherwise integer Fourier-Motzkin elimination decides it and rebuilds
+the witness.  The elimination drops each derived row that Chernikov's
+rule shows implied, and refuses, with BudgetExceeded, a step that would
+pair more than FM_MAX_PAIRS rows.  One generator yields the staircases that pass both
 tests: `fan_size` only counts them, for callers that need the number of
-bases, and `all_reduced_gbs` reads each basis off its tails, under a
-certificate that each tail lies below its corner in the witness order.
+bases, `all_reduced_gbs` reads each basis off its tails, under a
+certificate that each tail lies below its corner in the witness order,
+and `fds.enumerate_models` hands it the data's output columns as targets
+and reads every model off the same rows, with no second solve.
 """
 
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter, mul, neg, sub
+from operator import itemgetter, mul, sub
 
 from .errors import BudgetExceeded, EmptyPointSet
 from .field import ModpRows, gf2_reduce
@@ -212,17 +215,24 @@ def _corners(members, n):
     return sorted(w for w, c in hits.items() if c == n - w.count(0))
 
 
-def _opposite_pair(diffs):
-    """A difference whose negation is also among the differences, or None.
+def _differences(tails):
+    """The corner-minus-tail differences c - u, corner by corner, or None
+    at the first one whose negation came before it.
 
     No weight w makes both w.d and w.(-d) positive: Gordan's alternative
-    with multipliers (1, 1) refutes the staircase before any elimination.
+    with multipliers (1, 1) refutes the staircase before any elimination,
+    and before the rest of its differences are built.
     """
-    seen = set(diffs)
-    for d in seen:
-        if tuple(map(neg, d)) in seen:
-            return d
-    return None
+    diffs = []
+    negations = set()
+    for c, tail in tails:
+        for u, _ in tail:
+            d = tuple(map(sub, c, u))
+            if d in negations:
+                return None
+            diffs.append(d)
+            negations.add(tuple(map(sub, u, c)))
+    return diffs
 
 
 # the most row pairs one Fourier-Motzkin elimination step may combine
@@ -431,19 +441,22 @@ def _basic_staircases(p, n, m, values):
     return walk_staircases(p, n, m, push, pop)
 
 
-def _staircase_tails(points):
-    """Each basic staircase with the tail of each of its corners.
+def _staircase_tails(points, targets=()):
+    """Each basic staircase with the tail of each of its corners, and the
+    interpolant of each target value vector.
 
     The walk of `_basic_staircases`, where every echelon row also carries
     its combination of the members, as the rows of `bm_reduced_gb` do.  On
     a full staircase the rows span every value vector, so reducing a
     corner's vector reads off the unique member coefficients of its
-    interpolant.  Over Z_2 a row is one bit mask: the values sit above the
-    low m bits, which hold the combination, one bit per member.  Over Z_p
-    it is one `ModpRows` row, whose low m slots hold the combination; a
-    reduced corner's slots hold minus its tail.  Yields (members, tails)
-    with one (corner, [(member, coefficient), ...]) per corner in sorted
-    order, zero terms left out.
+    interpolant, and reducing a target, a vector of values over the points,
+    reads off its own.  Over Z_2 a row is one bit mask: the values sit
+    above the low m bits, which hold the combination, one bit per member.
+    Over Z_p it is one `ModpRows` row, whose low m slots hold the
+    combination; a reduced vector's slots hold minus its interpolant.
+    Yields (members, tails, fits): one (corner, [(member, coefficient),
+    ...]) per corner in sorted order, and one [(member, coefficient), ...]
+    per target, zero terms left out; with no targets, fits is ().
     """
     p, n, m = points.p, points.n, len(points)
     values = _Values(p, n, points.points)
@@ -460,18 +473,22 @@ def _staircase_tails(points):
 
         pop = pivots.pop
 
-        def tail(c):
-            combo = gf2_reduce(values[c] << m, pivots)
+        vector = values.__getitem__
+
+        def coefficients(vec):
+            combo = gf2_reduce(vec << m, pivots)
             return [combo >> j & 1 for j in range(m)]
+
+        packed = [sum(x << i for i, x in enumerate(t)) for t in targets]
 
     else:
         echelon = ModpRows(p, m)
-        packed = {}
+        cache = {}
 
         def vector(u):
-            vec = packed.get(u)
+            vec = cache.get(u)
             if vec is None:
-                vec = packed[u] = echelon.pack(values[u])
+                vec = cache[u] = echelon.pack(values[u])
             return vec
 
         def push(u):
@@ -481,14 +498,20 @@ def _staircase_tails(points):
         def pop(_):
             echelon.rows.pop()
 
-        def tail(c):
-            return [-x % p for x in echelon.combination(echelon.reduce(vector(c)), m)]
+        def coefficients(vec):
+            return [-x % p for x in echelon.combination(echelon.reduce(vec), m)]
+
+        packed = [echelon.pack(t) for t in targets]
 
     for members in walk_staircases(p, n, m, push, pop):
-        yield members, [
-            (c, [(u, x) for u, x in zip(members, tail(c)) if x])
+        tails = [
+            (c, [(u, x) for u, x in zip(members, coefficients(vector(c))) if x])
             for c in _corners(members, n)
         ]
+        fits = [
+            [(u, x) for u, x in zip(members, coefficients(vec)) if x] for vec in packed
+        ] if packed else ()
+        yield members, tails, fits
 
 
 def _basic_staircase_count(p, n, m, values, limit=None):
@@ -530,23 +553,24 @@ def check_fan_budget(points, max_box=64, max_points=16):
         raise BudgetExceeded(f"{m} points exceed the budget {max_points}")
 
 
-def _coherent_staircases(points):
+def _coherent_staircases(points, targets=()):
     """Each basic staircase whose corners a strictly positive weight puts
     above every term of their tails.
 
-    The staircases and tails come from `_staircase_tails`.  Two opposite
-    differences c - u refute a staircase, and otherwise the Fourier-Motzkin
-    kernel decides.  Yields (members, tails, witness); this is the one
-    place that filters the fan's staircases.
+    The staircases, tails and target interpolants come from
+    `_staircase_tails`.  Two opposite differences c - u refute a
+    staircase, and otherwise the Fourier-Motzkin kernel decides.  Yields
+    (members, tails, witness, fits); this is the one place that filters
+    the fan's staircases.
     """
     n = points.n
-    for members, tails in _staircase_tails(points):
-        diffs = [tuple(map(sub, c, u)) for c, tail in tails for u, _ in tail]
-        if _opposite_pair(diffs) is not None:
+    for members, tails, fits in _staircase_tails(points, targets):
+        diffs = _differences(tails)
+        if diffs is None:
             continue
         witness = _positive_weight_witness(diffs, n)
         if witness is not None:
-            yield members, tails, witness
+            yield members, tails, witness, fits
 
 
 def fan_size(points, max_box=64, max_points=16):
@@ -576,7 +600,7 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
     check_fan_budget(points, max_box, max_points)
     p, n = points.p, points.n
     entries = []
-    for members, tails, witness in _coherent_staircases(points):
+    for members, tails, witness, _ in _coherent_staircases(points):
         order = WeightOrder(witness)
         key = {u: order.key(u) for u in (*members, *(c for c, _ in tails))}
         generators = []

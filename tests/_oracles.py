@@ -34,6 +34,7 @@ from gbfan import (
     divides,
 )
 from gbfan.errors import EmptyPointSet
+from gbfan.fds import ModelEnumeration, select_models
 from gbfan.groebner import _Values, _basic_staircase_count
 from gbfan.points import eval_monomial
 from gbfan.shifts import _unrank_combination
@@ -280,6 +281,32 @@ def brute_force_models(points, outputs, p):
             if terms not in found:
                 found.append(terms)
     return found
+
+
+def enumerate_models_reference(dataset, max_box=64, max_points=16):
+    """All interpolating models across every quotient basis of the inputs.
+
+    The whole fan is built by `all_reduced_gbs`, and each entry's
+    staircase is solved afresh by `select_models`, on an evaluation matrix
+    of its own.  The reference for `fds.enumerate_models`, which reads the
+    models off the fan walk's echelon rows.
+    """
+    fan = all_reduced_gbs(dataset.inputs, max_box=max_box, max_points=max_points)
+    coordinates = dataset.coordinates()
+    per_coordinate = [[] for _ in coordinates]
+    for entry in fan.entries:
+        models = select_models(dataset, entry.standard_monomials, coordinates)
+        for seen, model in zip(per_coordinate, models):
+            if model not in seen:
+                seen.append(model)
+    models = tuple(tuple(seen) for seen in per_coordinate)
+    counts = tuple(len(seen) for seen in models)
+    return ModelEnumeration(
+        models=models,
+        counts=counts,
+        total=math.prod(counts),
+        staircases=tuple(e.standard_monomials.points for e in fan.entries),
+    )
 
 
 def all_shift_list(p, n):
@@ -544,8 +571,9 @@ def walk_staircases_reference(p, n, m, push=lambda v: True, pop=lambda key: None
     return extend(0)
 
 
-def staircase_tails_reference(points):
-    """Each basic staircase with the tail of each of its corners.
+def staircase_tails_reference(points, targets=()):
+    """Each basic staircase with the tail of each of its corners, and the
+    interpolant of each target value vector.
 
     Lists instead of packed rows: echelon rows are (pivot, row) pairs, 1 at
     their own pivot and 0 at the pivots before, each with the list of
@@ -554,8 +582,10 @@ def staircase_tails_reference(points):
     coefficients, give its combination of the members.  Values come from
     `eval_monomial`, staircases from `walk_staircases_reference` and
     corners from `corners_reference`.  The reference for
-    `groebner._staircase_tails`: a list of (members, tails) with one
-    (corner, [(member, coefficient), ...]) per corner, zero terms left out.
+    `groebner._staircase_tails`: a list of (members, tails, fits) with one
+    (corner, [(member, coefficient), ...]) per corner and one
+    [(member, coefficient), ...] per target, zero terms left out; with no
+    targets, fits is ().
     """
     p, n, m = points.p, points.n, len(points)
     basis = []
@@ -604,5 +634,9 @@ def staircase_tails_reference(points):
         for c in corners_reference(members, n):
             coeffs = combine(reduce(vector(c)))
             tails.append((c, [(u, x) for u, x in zip(members, coeffs) if x]))
-        out.append((members, tails))
+        fits = [
+            [(u, x) for u, x in zip(members, combine(reduce(list(t)))) if x]
+            for t in targets
+        ]
+        out.append((members, tails, fits if targets else ()))
     return out

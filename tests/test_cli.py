@@ -581,7 +581,9 @@ def test_traced_benchmark_run_ends_in_a_result_line():
     # defines, so every per-layer metric the benchmark declares must appear
     declared = json.loads((SRC.parent / "BENCHMARK.json").read_text())
     names = {metric["name"] for metric in declared["per_layer"]}
-    for workload in ("classify_sweep", "fds_design"):
+    workloads = [workload["name"] for workload in declared["workloads"]]
+    assert len(workloads) == 4
+    for workload in workloads:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
              "--seed", "0", "--seconds", "1", "--trace", "1"],

@@ -36,7 +36,9 @@ from gbfan import fds
 from _oracles import (
     brute_force_models,
     brute_force_order_ideals,
+    enumerate_models_reference,
     min_augmentation_reference,
+    random_points,
     span_rank,
 )
 
@@ -205,8 +207,8 @@ def test_enumerate_models_component_data():
     data = DataSet.from_fds(system, C1)
     result = enumerate_models(data)
     assert result.counts == (1, 1, 1, 1) and result.total == 1
-    assert len(result.fan) == 1
-    sm = result.fan.entries[0].standard_monomials.points
+    assert len(result.staircases) == 1
+    sm = result.staircases[0]
     assert sm == ((0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0))
     for j in range(4):
         model = result.models[j][0]
@@ -243,6 +245,41 @@ def test_enumerate_models_s5_regression():
         counts[result.counts[0]] += 1
     assert set(counts) == {1, 4, 6, 7}
     assert counts == {1: 2, 4: 8, 6: 12, 7: 10}
+
+
+def _assert_models_match_reference(data):
+    result = enumerate_models(data)
+    reference = enumerate_models_reference(data)
+    assert result.to_json() == reference.to_json(), data.to_json()
+    assert result.models == reference.models
+    assert result.staircases == reference.staircases
+    for j, per_coord in zip(data.coordinates(), result.models):
+        for model in per_coord:
+            got = tuple(model.evaluate(v) for v in data.inputs.points)
+            assert got == data.outputs[j], (data.to_json(), j)
+
+
+def test_enumerate_models_matches_reference_on_lac_data():
+    # S5 under every output vector and with the lac system's outputs, and
+    # the lac system on each of its weak components
+    for outs in itertools.product(range(2), repeat=len(S5)):
+        _assert_models_match_reference(DataSet(S5, {0: outs}))
+    system = lac_fds()
+    for points in [S5.points, *LAC_COMPONENTS]:
+        _assert_models_match_reference(DataSet.from_fds(system, PointSet(2, 4, points)))
+
+
+@pytest.mark.parametrize(
+    "p,n,most", [(2, 4, 9), (3, 2, 6), (3, 3, 8), (5, 2, 10)]
+)
+def test_enumerate_models_matches_reference(p, n, most):
+    # random inputs, with outputs for every coordinate, for some, or none
+    rng = random.Random(700 + 10 * p + n)
+    for _ in range(12):
+        V = random_points(rng, p, n, rng.randint(1, most))
+        coordinates = rng.sample(range(n), rng.randint(0, n))
+        outputs = {j: [rng.randrange(p) for _ in V.points] for j in coordinates}
+        _assert_models_match_reference(DataSet(V, outputs))
 
 
 def test_min_augmentation_examples():

@@ -37,7 +37,7 @@ from gbfan.groebner import (
     _Values,
     _basic_staircases,
     _corners,
-    _opposite_pair,
+    _differences,
     _positive_weight_witness,
     _staircase_tails,
 )
@@ -428,32 +428,37 @@ def test_corners_match_reference(p, n, sizes):
      (2, 4), (3, 4), (2, 5), (2, 6)],
 )
 def test_fan_layers_match_references(p, n):
-    # on every basic staircase: the tails read off the walk equal a fresh
-    # solve; an opposite pair holds d and -d, and the rational reference
-    # refutes it too; otherwise the integer kernel returns the reference's
-    # witness, or None with it
+    # on every basic staircase: the tails and the target interpolants read
+    # off the walk equal a fresh solve; the differences are refused exactly
+    # when they hold some d and -d, and the rational reference refutes
+    # those too; otherwise they come in corner order and the integer
+    # kernel returns the reference's witness, or None with it
     rng = random.Random(900 + 10 * p + n)
     sets = [random_points(rng, p, n, 1)]
     sets += [random_points(rng, p, n, rng.randint(2, min(p**n, 10))) for _ in range(8)]
     for V in sets:
-        for members, tails in _staircase_tails(V):
+        targets = [tuple(rng.randrange(p) for _ in V.points) for _ in range(2)]
+        for members, tails, fits in _staircase_tails(V, targets):
             rows = evaluation_rows(members, V.points, p)
             corners = [c for c, _ in tails]
-            columns = list(zip(*evaluation_rows(corners, V.points, p)))
+            columns = list(zip(*evaluation_rows(corners, V.points, p))) + targets
             solved = modp_solve_columns(rows, columns, p)
             for (corner, tail), coeffs in zip(tails, solved):
                 assert tail == [(u, x) for u, x in zip(members, coeffs) if x], (V, corner)
+            for fit, coeffs in zip(fits, solved[len(tails):]):
+                assert fit == [(u, x) for u, x in zip(members, coeffs) if x], V
+            assert len(fits) == len(targets)
             diffs = [
                 tuple(a - b for a, b in zip(c, u)) for c, tail in tails for u, _ in tail
             ]
-            d = _opposite_pair(diffs)
             negated = [tuple(-x for x in e) for e in diffs]
-            assert (d is None) == set(diffs).isdisjoint(negated)
+            got = _differences(tails)
+            assert (got is None) == (not set(diffs).isdisjoint(negated))
             expected = fm_witness_reference(diffs, n)
-            if d is not None:
-                assert d in diffs and tuple(-x for x in d) in diffs
+            if got is None:
                 assert expected is None, (V, members)
             else:
+                assert got == diffs
                 assert _positive_weight_witness(diffs, n) == expected, (V, members)
 
 
@@ -559,12 +564,17 @@ def test_large_p_bases_match_sympy(p):
     [(3, 2, 9), (3, 3, 10), (3, 4, 10), (5, 2, 12), (5, 3, 8), (7, 2, 12), (2, 4, 10)],
 )
 def test_packed_tails_match_list_reference(p, n, most):
-    # the tails read off packed rows equal those of list rows, walked by the
-    # recursive reference walk, staircase by staircase and corner by corner
+    # the tails and target interpolants read off packed rows equal those of
+    # list rows, walked by the recursive reference walk, staircase by
+    # staircase, corner by corner and target by target
     rng = random.Random(600 + 10 * p + n)
     for _ in range(8):
         V = random_points(rng, p, n, rng.randint(1, most))
-        assert list(_staircase_tails(V)) == staircase_tails_reference(V), V
+        outputs = random.Random(len(V.points))
+        targets = [
+            tuple(outputs.randrange(p) for _ in V.points) for _ in range(outputs.randint(0, 2))
+        ]
+        assert list(_staircase_tails(V, targets)) == staircase_tails_reference(V, targets), V
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251, 2**31 - 1])
