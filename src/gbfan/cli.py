@@ -30,10 +30,9 @@ from .groebner import (
     bm_reduced_gb,
     check_fan_budget,
     fan_size,
-    is_unique_gb,
     transport_gb,
 )
-from .points import PointSet, require, require_object
+from .points import PointSet, lex_unique, require, require_object
 from .poly import (
     GrevLexOrder,
     GrLexOrder,
@@ -190,9 +189,8 @@ def cmd_fan(args, config):
 def cmd_unique(args, config):
     points = load_point_set(args.points, config.p, config.n)
     check_fan_budget(points, config.max_box, config.max_points)
-    # the fan is never empty and holds only basic staircases, so a single
-    # basic staircase is a single reduced basis
-    if is_unique_gb(points, limit=2)[0]:
+    # the n lex orders decide; only a set with several bases counts its fan
+    if lex_unique(points):
         count = 1
     else:
         count = fan_size(points, max_box=config.max_box, max_points=config.max_points)

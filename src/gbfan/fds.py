@@ -17,19 +17,14 @@ from .errors import (
     NotBasic,
     SingularMatrix,
 )
-from .groebner import (
-    _Values,
-    _basic_staircase_count,
-    _coherent_staircases,
-    check_fan_budget,
-    is_unique_gb,
-)
+from .groebner import _coherent_staircases, check_fan_budget
 from .field import modp_solve_columns
 from .points import (
     PointSet,
     _LexStandardSets,
     box_points,
     evaluation_rows,
+    lex_unique,
     require,
     require_object,
 )
@@ -442,24 +437,23 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
     """Fewest extra points forcing a unique reduced basis.
 
     Complement subsets are scanned by size and then lexicographically;
-    the first subset whose union with the points leaves a single basic
-    staircase wins.  Returns (k, witness) or None when k_max is exhausted.
-    A negative k_max raises ValueError.  Before any walk, raises
-    BudgetExceeded when the largest box walked, [0, min(p, m + k))^n for
-    up to k extra points, has more than max_box members.  Unless the
-    points already have a unique basis, raises BudgetExceeded before any
-    scan when the subsets of up to k_max points number more than max_sets.
+    the first subset whose union with the points has a single reduced
+    basis wins.  Returns (k, witness) or None when k_max is exhausted.
+    A negative k_max raises ValueError.  Before any test, raises
+    BudgetExceeded when [0, min(p, m + k))^n, the box that holds every
+    staircase of the points and up to k extra points, has more than
+    max_box members.  Unless the points already have a unique basis, raises BudgetExceeded
+    before any scan when the subsets of up to k_max points number more
+    than max_sets.
 
-    A candidate is refuted first by two lex orders, the identity
-    precedence and its reverse: their standard sets come from fiber counts
-    on a bit mask of the candidate's points (`points._LexStandardSets`,
-    memoised for this call), and when they differ the candidate has two
-    reduced bases.  Only a candidate on which they agree is walked.  One
-    value table covers the points and then the complement; such a
-    candidate is the first m indices plus those of its extra points, and
-    the table restricted to them gives the walk its value vectors, so no
-    candidate builds a point set.  With k_max = 0 the complement is never
-    listed.
+    Every set, the points and each candidate, is decided by the n lex
+    orders "x_j first" (`points._LexStandardSets.unique`): it is unique
+    exactly when they give one standard set.  A candidate is a bit mask
+    over the box, the points' bits and those of its extra points, and its
+    standard sets come from fiber counts on that mask (Cerlienco-Mureddu),
+    memoised for this call, so no candidate builds a point set, an
+    evaluation matrix or a staircase walk.  With k_max = 0 the complement
+    is never listed.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
@@ -474,7 +468,7 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
             f"box size {box} for up to {k_top} extra points "
             f"exceeds the budget {max_box}"
         )
-    if is_unique_gb(points, limit=2)[0]:
+    if lex_unique(points):
         return 0, PointSet(p, n, ())
     candidates = 0
     for k in range(k_top + 1):
@@ -487,22 +481,16 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
     if k_max == 0:
         return None
     complement = points.complement().points
-    table = _Values(p, n, points.points + complement)
     lex = _LexStandardSets(p, n)
-    spots = [lex.index(v) for v in points.points + complement]
-    base = sum(1 << i for i in spots[:m])
-    forward = tuple(range(n))
-    backward = forward[::-1]
+    base = sum(1 << lex.index(v) for v in points.points)
+    spots = [lex.index(v) for v in complement]
     for k in range(1, k_max + 1):
-        for extra in itertools.combinations(range(m, m + free), k):
+        for extra in itertools.combinations(range(free), k):
             mask = base
             for i in extra:
                 mask |= 1 << spots[i]
-            if lex(mask, forward) != lex(mask, backward):
-                continue
-            values = table.restrict(m, extra)
-            if _basic_staircase_count(p, n, m + k, values, limit=2) == 1:
-                return k, PointSet(p, n, [complement[i - m] for i in extra])
+            if lex.unique(mask):
+                return k, PointSet(p, n, [complement[i] for i in extra])
     return None
 
 

@@ -29,11 +29,11 @@ and reads every model off the same rows, with no second solve.
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 from .errors import BudgetExceeded, EmptyPointSet
 from .field import ModpRows, gf2_reduce
-from .points import OrderIdealSet, check_box_budget, walk_staircases
+from .points import OrderIdealSet, check_box_budget, lex_unique, walk_staircases
 from .poly import (
     MarkedPolynomial,
     Polynomial,
@@ -389,63 +389,17 @@ class _Values(dict):
         self[u] = vec
         return vec
 
-    def restrict(self, m, extra):
-        """Vector lookup over the first m points and those at the indices
-        in `extra`, two points or more in all.
-
-        Over Z_2 it masks off the other points' bits, which leaves every
-        rank unchanged; over Z_p it picks the vector's entries.
-        """
-        if self.masks:
-            mask = (1 << m) - 1
-            for i in extra:
-                mask |= 1 << i
-            return lambda u: self[u] & mask
-        pick = itemgetter(*range(m), *extra)
-        return lambda u: pick(self[u])
-
-
-def _basic_staircases(p, n, m, values):
-    """Every staircase of m monomials with an invertible evaluation matrix.
-
-    `values(u)` is monomial u's value vector over the m points; over Z_2
-    it is a bit mask whose m point bits may sit anywhere (see `_Values`).
-    The staircases come from `walk_staircases`, in the lex order of
-    `enumerate_order_ideals`, and a monomial joins only when its value
-    vector is independent of the members' vectors: those are kept as
-    echelon pivots, pushed on the way down and popped on the way back.
-    Every subset of a basic staircase has independent vectors, so a
-    dependent branch is dropped at once.  Yields member tuples.
-    """
-    if p == 2:
-        pivots = {}
-
-        def push(u):
-            mask = gf2_reduce(values(u), pivots)
-            if not mask:
-                return None
-            key = mask.bit_length() - 1
-            pivots[key] = mask
-            return key
-
-        pop = pivots.pop
-    else:
-        echelon = ModpRows(p, m)
-
-        def push(u):
-            return echelon.insert(echelon.reduce(echelon.pack(values(u))))
-
-        def pop(_):
-            echelon.rows.pop()
-
-    return walk_staircases(p, n, m, push, pop)
-
 
 def _staircase_tails(points, targets=()):
     """Each basic staircase with the tail of each of its corners, and the
     interpolant of each target value vector.
 
-    The walk of `_basic_staircases`, where every echelon row also carries
+    The staircases of m = |V| monomials come from `walk_staircases`, in
+    the lex order of `enumerate_order_ideals`, and a monomial joins only
+    when its value vector is independent of the members' vectors: those
+    are kept as echelon rows, pushed on the way down and popped on the way
+    back.  Every subset of a basic staircase has independent vectors, so a
+    dependent branch is dropped at once.  Every echelon row also carries
     its combination of the members, as the rows of `bm_reduced_gb` do.  On
     a full staircase the rows span every value vector, so reducing a
     corner's vector reads off the unique member coefficients of its
@@ -514,29 +468,21 @@ def _staircase_tails(points, targets=()):
         yield members, tails, fits
 
 
-def _basic_staircase_count(p, n, m, values, limit=None):
-    count = 0
-    for _ in _basic_staircases(p, n, m, values):
-        count += 1
-        if count == limit:
-            break
-    return count
-
-
-def is_unique_gb(points, limit=None):
+def is_unique_gb(points):
     """Whether the vanishing ideal has a single reduced basis.
 
-    Returns (unique, basic staircase count): the ideal is unique exactly
-    when only one staircase of the right size has an invertible
-    evaluation matrix, which avoids any feasibility solving.  With a
-    limit, counting stops once it reaches the limit.
+    Returns (unique, basic staircase count).  The n lex orders decide
+    (`points.lex_unique`): the points are unique exactly when those orders
+    give one standard set, and then exactly one staircase of |V| monomials
+    has an invertible evaluation matrix, so (True, 1) comes with no walk.
+    For points that are not unique, the basic staircases are counted off
+    the fan's walk, `_staircase_tails`.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
-    p, n = points.p, points.n
-    values = _Values(p, n, points.points)
-    count = _basic_staircase_count(p, n, len(points), values.__getitem__, limit)
-    return count == 1, count
+    if lex_unique(points):
+        return True, 1
+    return False, sum(1 for _ in _staircase_tails(points))
 
 
 def check_fan_budget(points, max_box=64, max_points=16):

@@ -376,15 +376,19 @@ class _LexStandardSets:
             for step in self.steps
         ]
         self.plans = {}
+        # the plans of `unique`: the identity, its reverse, then x_j first
+        # for each middle j
+        first = tuple(range(n))
+        middles = [(j, *first[:j], *first[j + 1 :]) for j in range(1, n - 1)]
+        self.first_plan, *self.other_plans = [
+            self._plan(order) for order in (first, first[::-1], *middles)
+        ]
 
     def index(self, point):
         """The lex index of a point in the box, the position of its bit."""
         return sum(map(mul, point, self.steps))
 
-    def __call__(self, mask, precedence):
-        """The standard set of the points in `mask` under the lex order
-        whose variables, by precedence, are the tuple `precedence`, as
-        `LexOrder(precedence)` orders them."""
+    def _plan(self, precedence):
         plan = self.plans.get(precedence)
         if plan is None:
             plan = [
@@ -392,7 +396,48 @@ class _LexStandardSets:
                 for depth, j in enumerate(precedence)
             ]
             self.plans[precedence] = plan
-        return self._standard(mask, plan, 0)
+        return plan
+
+    def __call__(self, mask, precedence):
+        """The standard set of the points in `mask` under the lex order
+        whose variables, by precedence, are the tuple `precedence`, as
+        `LexOrder(precedence)` orders them."""
+        return self._standard(mask, self._plan(precedence), 0)
+
+    def unique(self, mask):
+        """Whether the points in `mask` have a single reduced Groebner
+        basis, that is whether the n lex orders "x_j first" give one
+        standard set: the identity and its reverse first, then (j, the
+        others in order) for each middle j, stopping at the first that
+        differs.
+
+        Lemma (Mora-Robbiano 1988, "The Groebner fan of an ideal").  Let G
+        be the reduced basis of I(V) under an order <, with leading terms
+        c and staircase S.  An order <' has the same reduced basis iff it
+        keeps every leading term c: then the c's generate an ideal inside
+        in_<'(I) with as many standard monomials, |V|, so the two are
+        equal; and if <' makes a tail term t lead, t lies in in_<'(I) but
+        also in S, since G is reduced.
+
+        Theorem.  V has one reduced basis iff, in its reduced basis under
+        any one order, every tail term divides its generator's leading
+        term.  If t divides c and t != c, every order puts c above t; if
+        not, some t_j > c_j, lex with x_j first puts t above c, and the
+        lemma gives a second basis.
+
+        Corollary.  V is unique iff the n lex orders "x_j first", the
+        other variables in any fixed order, give one standard set: apply
+        the theorem to lex with x_0 first, whose proof names the j of
+        another standard set.  A unique V has exactly one basic staircase:
+        every tail term divides its corner, so a monomial u outside S
+        reduces by G to divisors of u, which lie in any order ideal that
+        holds u, and that ideal's value vectors are dependent.
+        """
+        standard = self._standard(mask, self.first_plan, 0)
+        for plan in self.other_plans:
+            if self._standard(mask, plan, 0) != standard:
+                return False
+        return True
 
     def _standard(self, mask, plan, depth):
         if not mask & (mask - 1):
@@ -433,6 +478,23 @@ class _LexStandardSets:
         if memo is not None:
             memo[mask] = found
         return found
+
+
+def lex_unique(points):
+    """Whether a nonempty point set has a single reduced Groebner basis,
+    by the n lex orders of `_LexStandardSets.unique`.
+
+    Each coordinate's distinct values are first relabelled 0, ..., k_j - 1.
+    Fiber counts see only which coordinates are equal, so the lex standard
+    sets do not change, and the mask lives on the box [0, q)^n with
+    q = max(2, max k_j), where each k_j <= min(p, |V|), never on [0, p)^n.
+    """
+    labels = [{c: i for i, c in enumerate(sorted(set(col)))} for col in zip(*points)]
+    lex = _LexStandardSets(max([2, *map(len, labels)]), points.n)
+    mask = 0
+    for v in points:
+        mask |= 1 << lex.index([label[c] for label, c in zip(labels, v)])
+    return lex.unique(mask)
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,6 @@ from gbfan import (
 )
 from gbfan.errors import EmptyPointSet
 from gbfan.fds import ModelEnumeration, select_models
-from gbfan.groebner import _Values, _basic_staircase_count
 from gbfan.points import eval_monomial
 from gbfan.shifts import _unrank_combination
 
@@ -485,19 +484,47 @@ def corners_reference(members, n):
 
 
 def _basic_count(points, limit=None):
-    """Basic staircases of one point set, counted on a table of its own."""
-    values = _Values(points.p, points.n, points.points).__getitem__
-    return _basic_staircase_count(points.p, points.n, len(points), values, limit)
+    """The number of staircases of |V| monomials whose evaluation matrix
+    over the points is invertible, counting stops once it reaches `limit`.
+
+    The staircases come from `walk_staircases_reference`.  Each value
+    vector is reduced against the members' echelon rows, kept as lists,
+    and a dependent one refuses its monomial.
+    """
+    p, n, m = points.p, points.n, len(points)
+    rows = []
+
+    def push(u):
+        vec = [eval_monomial(v, u, p) for v in points.points]
+        for piv, row in rows:
+            c = vec[piv]
+            if c:
+                vec = [(x - c * y) % p for x, y in zip(vec, row)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return None
+        inv = pow(vec[piv], -1, p)
+        rows.append((piv, [x * inv % p for x in vec]))
+        return piv
+
+    def pop(_):
+        rows.pop()
+
+    count = 0
+    for _ in walk_staircases_reference(p, n, m, push, pop):
+        count += 1
+        if count == limit:
+            break
+    return count
 
 
 def min_augmentation_reference(points, k_max, max_sets=20000):
     """Fewest extra points forcing a unique reduced basis.
 
-    Every candidate is built as its own `PointSet` by `points.union` and
-    walked on a value table over exactly its points, with no lex
-    refutation.  The reference for `fds.min_augmentation`, which refutes
-    most candidates by two lex staircases and walks the rest as bit masks
-    or index picks on one table.
+    Every candidate is built as its own `PointSet` by `points.union`, and
+    its basic staircases are counted by `_basic_count`, which stops at the
+    second.  The reference for `fds.min_augmentation`, which decides each
+    candidate by the n lex orders and walks none.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")

@@ -32,7 +32,6 @@ from gbfan import (
     state_space,
     weak_components,
 )
-from gbfan import fds
 from _oracles import (
     brute_force_models,
     brute_force_order_ideals,
@@ -320,8 +319,8 @@ def _brute_force_min_augmentation(points, k_max):
     exactly one order ideal has an evaluation matrix of full rank.
 
     Ideals come from filtering every subset of the box, values are plain
-    products and ranks are span sizes, so nothing is shared with the
-    staircase walk or the value table.
+    products and ranks are span sizes, so nothing is shared with the lex
+    orders or any staircase walk.
     """
     p, n = points.p, points.n
     complement = [v for v in box_points(p, n) if v not in points]
@@ -347,10 +346,10 @@ def _brute_force_min_augmentation(points, k_max):
      (5, 2, (2, 3, 4, 5), (0, 1, 3))],
 )
 def test_min_augmentation_matches_reference(p, n, sizes, k_maxes):
-    # one value table with a bit mask or an index pick per candidate gives
-    # the (k, witness) of building each candidate as its own point set; on
-    # the smallest boxes, also that of a brute-force scan sharing no code
-    # with the walk or the table
+    # deciding each candidate, a bit mask, by the n lex orders gives the
+    # (k, witness) of building each candidate as its own point set and
+    # counting its basic staircases; on the smallest boxes, also that of a
+    # brute-force scan sharing no code with the lex orders or the walk
     rng = random.Random(1300 + 10 * p + n)
     box = box_points(p, n)
     outcomes = set()
@@ -370,18 +369,19 @@ def test_min_augmentation_matches_reference(p, n, sizes, k_maxes):
     assert min_augmentation(lone, 2) == (0, PointSet(p, 0, ()))
 
 
-def test_lex_refutation_keeps_the_walk_only_scan(monkeypatch):
-    # refuting candidates whose two lex staircases differ gives the (k,
-    # witness) of walking every candidate, and leaves few walks: on S5 the
-    # witness is the 1,033rd candidate, and only 3 candidates are walked
-    walks = []
-    counted = fds._basic_staircase_count
+def test_min_augmentation_walks_no_staircase(monkeypatch):
+    # the n lex orders decide the points and every candidate, so no
+    # staircase is walked, and the (k, witness) is that of counting each
+    # candidate's basic staircases; on S5 the witness is the 1,033rd
+    # candidate
+    import gbfan.groebner
+    import gbfan.points
 
-    def count(*args, **kwargs):
-        walks.append(args[2])
-        return counted(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a staircase was walked")
 
-    monkeypatch.setattr(fds, "_basic_staircase_count", count)
+    monkeypatch.setattr(gbfan.points, "walk_staircases", refuse)
+    monkeypatch.setattr(gbfan.groebner, "walk_staircases", refuse)
     rng = random.Random(1515)
     cases = [(S5, 8)]
     cases += [(PointSet(2, 4, rng.sample(box_points(2, 4), m)), 8)
@@ -389,12 +389,10 @@ def test_lex_refutation_keeps_the_walk_only_scan(monkeypatch):
     cases += [(PointSet(3, 2, rng.sample(box_points(3, 2), m)), 4)
               for m in (3, 4, 5) for _ in range(2)]
     for V, k_max in cases:
-        walks.clear()
         got = min_augmentation(V, k_max)
         assert got == min_augmentation_reference(V, k_max), V
         if V == S5:
             assert got[0] == 6 and is_unique_gb(S5.union(got[1].points))[0]
-            assert len(walks) == 3
 
 
 def test_min_augmentation_lists_no_box_before_its_budget(monkeypatch):

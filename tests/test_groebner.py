@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -34,21 +35,22 @@ from gbfan import (
 import gbfan.groebner
 from gbfan.field import ModpRows, modp_row_rank, modp_solve_columns
 from gbfan.groebner import (
-    _Values,
-    _basic_staircases,
     _corners,
     _differences,
     _positive_weight_witness,
     _staircase_tails,
 )
-from gbfan.points import evaluation_rows, walk_staircases
+from gbfan.points import eval_monomial, evaluation_rows, lex_unique, walk_staircases
 from _oracles import (
+    _basic_count,
+    brute_force_order_ideals,
     box_scan_reduced_gb,
     corners_reference,
     fm_witness_reference,
     random_point_set,
     random_points,
     random_shift,
+    span_rank,
     staircase_tails_reference,
     weight_grid_bases,
     weight_grid_sm_sets,
@@ -211,6 +213,86 @@ def test_unique_without_staircase_shift():
     assert len(fan) == 1
 
 
+def _relabelled(rng, V):
+    """A copy of V under a random bijection of Z_p on each coordinate."""
+    maps = [rng.sample(range(V.p), V.p) for _ in range(V.n)]
+    return PointSet(V.p, V.n, [tuple(f[c] for f, c in zip(maps, v)) for v in V])
+
+
+def _assert_lex_decides(V):
+    """Whether V is unique, asserting that the n lex orders decide it as
+    the count of basic staircases does."""
+    unique = lex_unique(V)
+    assert unique == (_basic_count(V, limit=2) == 1), V
+    return unique
+
+
+def test_lex_uniqueness_on_every_subset_of_z2_3_and_z3_2():
+    # The n lex orders give one standard set exactly when one staircase is
+    # basic (the corollary in `_LexStandardSets.unique`), on every subset
+    # and on a copy relabelled coordinate by coordinate, which keeps the
+    # answer.  The oracle's count also equals one with ranks read off span
+    # sizes over every order ideal.
+    rng = random.Random(1800)
+    outcomes = set()
+    for p, n in [(2, 3), (3, 2)]:
+        box = box_points(p, n)
+        for mask in range(1, 1 << len(box)):
+            V = PointSet(p, n, [v for i, v in enumerate(box) if mask >> i & 1])
+            unique = _assert_lex_decides(V)
+            assert _assert_lex_decides(_relabelled(rng, V)) == unique
+            spans = [
+                [[eval_monomial(v, u, p) for u in ideal] for v in V]
+                for ideal in brute_force_order_ideals(p, n, len(V))
+            ]
+            assert _basic_count(V) == sum(span_rank(r, p) == len(V) for r in spans), V
+            outcomes.add(unique)
+    assert outcomes == {True, False}
+
+
+def test_lex_uniqueness_on_every_subset_of_z2_4():
+    # Translations and coordinate permutations map basic staircases to
+    # basic staircases, so the oracle counts them on the first subset of
+    # each orbit, and the n lex orders must decide every subset as that one
+    box = box_points(2, 4)
+    index = {v: i for i, v in enumerate(box)}
+    moves = [
+        [index[tuple(v[j] ^ a[j] for j in perm)] for v in box]
+        for perm in itertools.permutations(range(4))
+        for a in box
+    ]
+    expected = {}
+    orbits = 0
+    for mask in range(1, 1 << len(box)):
+        V = PointSet(2, 4, [v for i, v in enumerate(box) if mask >> i & 1])
+        if mask not in expected:
+            orbits += 1
+            unique = _basic_count(V, limit=2) == 1
+            bits = [i for i in range(len(box)) if mask >> i & 1]
+            for move in moves:
+                expected[sum(1 << move[i] for i in bits)] = unique
+        assert lex_unique(V) == expected[mask], V
+    assert orbits == 401 and sum(expected.values()) == 5529
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 101])
+def test_lex_uniqueness_on_random_sets(p):
+    # each coordinate takes one to three random values, so that points
+    # share coordinates and both answers occur; every set is checked as
+    # drawn and relabelled
+    rng = random.Random(1900 + p)
+    outcomes = set()
+    for _ in range(40):
+        n = rng.choice((2, 3))
+        values = [rng.sample(range(p), rng.randint(1, 3)) for _ in range(n)]
+        grid = list(itertools.product(*values))
+        V = PointSet(p, n, rng.sample(grid, rng.randint(1, min(len(grid), 8))))
+        unique = _assert_lex_decides(V)
+        assert _assert_lex_decides(_relabelled(rng, V)) == unique
+        outcomes.add(unique)
+    assert outcomes == {True, False}
+
+
 def test_universal_basis_examples():
     marked = universal_basis(TOY)
     assert len(marked) == 5
@@ -359,8 +441,8 @@ def test_uniqueness_fast_path_matches_fan_size():
     "p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 1), (2, 5)]
 )
 def test_pruned_walk_and_tail_bases_match_oracles(p, n):
-    # the walk yields exactly the basic staircases of the unpruned filter, in
-    # its order; each fan basis read off the tails equals a fresh
+    # the fan's walk yields exactly the basic staircases of the unpruned
+    # filter, in its order; each fan basis read off the tails equals a fresh
     # interpolation at its witness; and the count-only path agrees
     rng = random.Random(500 + 10 * p + n)
     box = box_points(p, n)
@@ -369,8 +451,7 @@ def test_pruned_walk_and_tail_bases_match_oracles(p, n):
     for V in sets:
         m = len(V)
         basic = [s.points for s in enumerate_order_ideals(p, n, m) if is_basic(s, V)]
-        values = _Values(p, n, V.points).__getitem__
-        assert list(_basic_staircases(p, n, m, values)) == basic, V
+        assert [s for s, _, _ in _staircase_tails(V)] == basic, V
         fan = all_reduced_gbs(V, max_box=p**n, max_points=m)
         for entry in fan.entries:
             redo = bm_reduced_gb(V, WeightOrder(entry.witness_weight))

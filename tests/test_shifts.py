@@ -402,17 +402,18 @@ def test_permuted_sets_have_permuted_fans():
 @pytest.mark.parametrize(
     "p,n,m,classes,unique,staircases",
     [(2, 4, 4, 140, 22, 10), (2, 4, 5, 273, 37, 13), (2, 4, 6, 553, 48, 18),
-     (3, 3, 4, 124, 13, 10)],
+     (3, 3, 4, 124, 13, 10), (3, 3, 5, 460, 24, 15)],
 )
 def test_unique_classes_are_those_whose_lex_staircases_agree(
     p, n, m, classes, unique, staircases
 ):
     # Over these exhaustive sweeps a shift class has a unique reduced basis
     # exactly when the n! lex orders give its representative one standard
-    # set.  Two differing lex staircases prove non-uniqueness; the converse
-    # is conjectured, and pinned here.  Shifted staircases are unique, as
-    # the paper proves, and they are a minority of the unique classes.
-    report = classify(p, n, m)
+    # set, and exactly when the n orders "x_j first" do: the proof is the
+    # corollary in the docstring of `_LexStandardSets.unique`.  Shifted
+    # staircases are unique, as the paper proves, and they are a minority
+    # of the unique classes.
+    report = classify(p, n, m, max_sets=10**5)
     assert (len(report.classes), sum(c.unique for c in report.classes)) == (classes, unique)
     lex = _LexStandardSets(p, n)
     perms = list(itertools.permutations(range(n)))
@@ -420,6 +421,7 @@ def test_unique_classes_are_those_whose_lex_staircases_agree(
     for c in report.classes:
         mask = sum(1 << lex.index(v) for v in c.representative)
         assert (len({lex(mask, perm) for perm in perms}) == 1) == c.unique, c
+        assert lex.unique(mask) == c.unique, c
         if find_staircase_shift(PointSet(p, n, c.representative)) is not None:
             assert c.unique, c
             shifted += 1
