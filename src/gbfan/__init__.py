@@ -17,18 +17,8 @@ from .errors import (
     NotBasic,
     PolySyntaxError,
     SingularMatrix,
-    ZeroInverse,
 )
-from .field import (
-    MatrixZp,
-    PrimeModulus,
-    Scalar,
-    inverse,
-    is_prime,
-    rank,
-    scalar_inverse,
-    solve,
-)
+from .field import MatrixZp, is_prime, rank
 from .poly import (
     GrevLexOrder,
     GrLexOrder,

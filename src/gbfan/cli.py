@@ -104,7 +104,10 @@ def parse_order_spec(spec, n):
         if not rest:
             raise ValueError("weight order needs a weight vector")
         parts = rest.split(":")
-        weights = [Fraction(x) for x in parts[0].split(",")]
+        try:
+            weights = [Fraction(x) for x in parts[0].split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"weight with a zero denominator: {parts[0]}") from None
         if len(weights) != n:
             raise ValueError(f"{len(weights)} weights for {n} variables")
         tie = None

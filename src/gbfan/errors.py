@@ -13,10 +13,6 @@ class DimensionMismatch(GbfanError):
     """Operands have incompatible ambient dimensions."""
 
 
-class ZeroInverse(GbfanError):
-    """Multiplicative inverse of zero requested."""
-
-
 class SingularMatrix(GbfanError):
     """Linear solve requested on a matrix of deficient rank."""
 

@@ -1,150 +1,51 @@
-"""Exact arithmetic and linear algebra over prime fields Z_p."""
+"""Exact linear algebra over prime fields Z_p.
+
+`ModpRows` is the one elimination over Z_p: rank, solve, interpolation
+and the fan walk all reduce packed rows against it.  Over Z_2 the fan
+walk and `gf2_row_rank` reduce bit masks with `gf2_reduce`.
+"""
 
 from functools import lru_cache
 
-from .errors import ModulusMismatch, SingularMatrix, ZeroInverse
+from .errors import SingularMatrix
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015, "Strong pseudoprimes to twelve prime bases").
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
 def is_prime(p):
-    """Deterministic trial-division primality test."""
+    """Deterministic Miller-Rabin primality test.
+
+    A non-integer is not prime.  An integer at or above the bound where
+    the 13 bases are known to suffice raises ValueError.
+    """
     if not isinstance(p, int) or isinstance(p, bool):
         return False
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}: {p}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
-
-
-class PrimeModulus:
-    """A prime p in [2, 2^31 - 1], the context every field value carries."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise ValueError(f"modulus must be an integer, got {p!r}")
-        if p < 2 or p > 2**31 - 1:
-            raise ValueError(f"modulus out of range: {p}")
-        if not is_prime(p):
-            raise ValueError(f"modulus must be prime: {p}")
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeModulus) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeModulus", self.p))
-
-    def __repr__(self):
-        return f"PrimeModulus({self.p})"
-
-    def scalar(self, value):
-        return Scalar(value, self)
-
-
-class Scalar:
-    """An element of Z_p, always stored reduced to [0, p)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        if isinstance(modulus, int):
-            modulus = PrimeModulus(modulus)
-        self.modulus = modulus
-        self.value = int(value) % modulus.p
-
-    @property
-    def p(self):
-        return self.modulus.p
-
-    def _value_of(self, other):
-        if isinstance(other, Scalar):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"mixed moduli {self.p} and {other.p}"
-                )
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        v = self._value_of(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._value_of(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.value - v, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._value_of(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(v - self.value, self.modulus)
-
-    def __mul__(self, other):
-        v = self._value_of(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(-self.value, self.modulus)
-
-    def __pow__(self, exponent):
-        if exponent < 0 and self.value == 0:
-            raise ZeroInverse(f"0 has no inverse mod {self.p}")
-        return Scalar(pow(self.value, exponent, self.p), self.modulus)
-
-    def inverse(self):
-        return scalar_inverse(self)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.modulus == other.modulus
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"Scalar({self.value}, mod {self.p})"
-
-
-def _reduced(x, modulus):
-    """An int or Scalar entry as its value in [0, p)."""
-    if isinstance(x, Scalar):
-        if x.modulus != modulus:
-            raise ModulusMismatch(f"entry mod {x.p} against modulus {modulus.p}")
-        return x.value
-    return int(x) % modulus.p
-
-
-def scalar_inverse(a):
-    """Multiplicative inverse in Z_p; zero has none."""
-    if a.value == 0:
-        raise ZeroInverse(f"0 has no inverse mod {a.p}")
-    return Scalar(pow(a.value, -1, a.p), a.modulus)
 
 
 class MatrixZp:
@@ -154,21 +55,17 @@ class MatrixZp:
     columns still reports both dimensions.
     """
 
-    __slots__ = ("modulus", "entries", "shape")
+    __slots__ = ("p", "entries", "shape")
 
-    def __init__(self, modulus, rows):
-        if isinstance(modulus, int):
-            modulus = PrimeModulus(modulus)
-        data = tuple(tuple(_reduced(x, modulus) for x in row) for row in rows)
+    def __init__(self, p, rows):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime: {p!r}")
+        data = tuple(tuple(int(x) % p for x in row) for row in rows)
         if len({len(row) for row in data}) > 1:
             raise ValueError("rows of unequal length")
-        self.modulus = modulus
+        self.p = p
         self.entries = data
         self.shape = (len(data), len(data[0]) if data else 0)
-
-    @property
-    def p(self):
-        return self.modulus.p
 
     @property
     def rows(self):
@@ -178,13 +75,10 @@ class MatrixZp:
     def cols(self):
         return self.shape[1]
 
-    def entry(self, i, j):
-        return Scalar(self.entries[i][j], self.modulus)
-
     def transpose(self):
         # built directly, since rows alone cannot give a 0 x k shape
         t = object.__new__(MatrixZp)
-        t.modulus = self.modulus
+        t.p = self.p
         t.entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         t.shape = (self.cols, self.rows)
         return t
@@ -193,15 +87,16 @@ class MatrixZp:
         return [list(row) for row in self.entries]
 
     def matvec(self, values):
-        vec = [_reduced(v, self.modulus) for v in values]
+        p = self.p
+        vec = [int(v) % p for v in values]
         if len(vec) != self.cols:
             raise ValueError(f"expected {self.cols} values, got {len(vec)}")
-        return [sum(a * b for a, b in zip(row, vec)) % self.p for row in self.entries]
+        return [sum(a * b for a, b in zip(row, vec)) % p for row in self.entries]
 
     def __eq__(self, other):
         return (
             isinstance(other, MatrixZp)
-            and self.modulus == other.modulus
+            and self.p == other.p
             and self.shape == other.shape
             and self.entries == other.entries
         )
@@ -215,83 +110,45 @@ class MatrixZp:
 
 def rank(matrix):
     """Rank over Z_p."""
-    return modp_row_rank(matrix.to_lists(), matrix.p)
+    return modp_row_rank(matrix.entries, matrix.p)
 
 
-def solve(matrix, rhs):
-    """Unique solution of M x = rhs for invertible square M over Z_p."""
-    p = matrix.p
-    m = matrix.rows
-    if matrix.cols != m:
-        raise SingularMatrix(f"matrix is {matrix.rows}x{matrix.cols}, not square")
-    vec = [_reduced(v, matrix.modulus) for v in rhs]
-    if len(vec) != m:
-        raise ValueError(f"rhs has length {len(vec)}, expected {m}")
-    sol = modp_solve_columns(matrix.to_lists(), [vec], p)[0]
-    return [Scalar(x, matrix.modulus) for x in sol]
-
-
-def inverse(matrix):
-    """Matrix inverse over Z_p."""
-    p = matrix.p
-    m = matrix.rows
-    if matrix.cols != m:
-        raise SingularMatrix(f"matrix is {matrix.rows}x{matrix.cols}, not square")
-    cols = [[int(i == j) for i in range(m)] for j in range(m)]
-    sols = modp_solve_columns(matrix.to_lists(), cols, p)
-    inv_rows = [[sols[j][i] for j in range(m)] for i in range(m)]
-    return MatrixZp(matrix.modulus, inv_rows)
-
-
-def _gauss_jordan(work, ncols, p):
-    """Reduce the rows in place over their first ncols columns; return the rank.
-
-    Column by column, the first row at or below the current rank with a
-    nonzero entry becomes the pivot: it is swapped up, scaled to 1 and
-    cleared from every other row.  The first `rank` rows end in reduced
-    row echelon form.
-    """
-    nrows = len(work)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if work[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        row_r = work[r]
-        for i in range(nrows):
-            if i != r and work[i][c] % p:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], row_r)]
-        r += 1
-    return r
+def modp_row_rank(rows, p):
+    """Rank of a list of integer rows over Z_p: how many of them, reduced
+    mod p, insert into `ModpRows` echelon rows."""
+    echelon = ModpRows(p, len(rows[0]) if rows else 0)
+    for row in rows:
+        echelon.insert(echelon.reduce(echelon.pack([x % p for x in row])))
+    return len(echelon.rows)
 
 
 def modp_solve_columns(rows, columns, p):
     """Solve A x = c over Z_p for each column c at once.
 
-    A is given as a square list of integer rows.  Raises SingularMatrix
-    when A has deficient rank.
+    A is given as a square list of integer rows.  Column j of A goes in
+    as the vector of unknown j, with a 1 in combination slot j, the way
+    the fan walk inserts a member; reducing c against those rows leaves
+    minus its solution in the combination slots.  Entries are reduced
+    mod p first.  Raises SingularMatrix when A is not square or has
+    deficient rank.
     """
     m = len(rows)
-    aug = [list(rows[i]) + [col[i] % p for col in columns] for i in range(m)]
-    if _gauss_jordan(aug, m, p) < m:
-        raise SingularMatrix(f"rank below {m}")
-    return [[aug[i][m + k] for i in range(m)] for k in range(len(columns))]
+    if any(len(row) != m for row in rows):
+        raise SingularMatrix(f"matrix is not {m}x{m}")
+    if any(len(c) != m for c in columns):
+        raise ValueError(f"right-hand sides must have length {m}")
+    echelon = ModpRows(p, m)
 
+    def packed(values):
+        return echelon.pack([x % p for x in values])
 
-def modp_row_rank(rows, p):
-    """Rank of a list of integer rows over Z_p."""
-    work = [list(r) for r in rows]
-    return _gauss_jordan(work, len(work[0]) if work else 0, p)
+    for j, col in enumerate(zip(*rows)):
+        if echelon.insert(echelon.reduce(packed(col) | 1 << j * echelon.width)) is None:
+            raise SingularMatrix(f"rank below {m}")
+    return [
+        [-x % p for x in echelon.combination(echelon.reduce(packed(c)), m)]
+        for c in columns
+    ]
 
 
 class ModpRows:

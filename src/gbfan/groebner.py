@@ -390,27 +390,22 @@ class _Values(dict):
         return vec
 
 
-def _staircase_tails(points, targets=()):
-    """Each basic staircase with the tail of each of its corners, and the
-    interpolant of each target value vector.
+def _echelon_walk(points):
+    """The push and pop that keep the walk to basic staircases.
 
-    The staircases of m = |V| monomials come from `walk_staircases`, in
-    the lex order of `enumerate_order_ideals`, and a monomial joins only
-    when its value vector is independent of the members' vectors: those
-    are kept as echelon rows, pushed on the way down and popped on the way
-    back.  Every subset of a basic staircase has independent vectors, so a
-    dependent branch is dropped at once.  Every echelon row also carries
-    its combination of the members, as the rows of `bm_reduced_gb` do.  On
-    a full staircase the rows span every value vector, so reducing a
-    corner's vector reads off the unique member coefficients of its
-    interpolant, and reducing a target, a vector of values over the points,
-    reads off its own.  Over Z_2 a row is one bit mask: the values sit
-    above the low m bits, which hold the combination, one bit per member.
-    Over Z_p it is one `ModpRows` row, whose low m slots hold the
-    combination; a reduced vector's slots hold minus its interpolant.
-    Yields (members, tails, fits): one (corner, [(member, coefficient),
-    ...]) per corner in sorted order, and one [(member, coefficient), ...]
-    per target, zero terms left out; with no targets, fits is ().
+    A monomial joins only when its value vector over the points is
+    independent of the members' vectors: those are kept as echelon rows,
+    pushed on the way down and popped on the way back.  Every subset of a
+    basic staircase has independent vectors, so a dependent branch is
+    dropped at once.  Every echelon row also carries its combination of
+    the members, as the rows of `bm_reduced_gb` do.  Over Z_2 a row is one
+    bit mask: the values sit above the low m bits, which hold the
+    combination, one bit per member.  Over Z_p it is one `ModpRows` row,
+    whose low m slots hold the combination.  Returns (push, pop, vector,
+    coefficients, pack): `vector` gives a monomial's packed value vector,
+    `pack` packs a vector of values over the points, and `coefficients`
+    reads the member coefficients of a packed vector's interpolant off the
+    rows of a full staircase.
     """
     p, n, m = points.p, points.n, len(points)
     values = _Values(p, n, points.points)
@@ -425,38 +420,55 @@ def _staircase_tails(points, targets=()):
             pivots[key] = mask
             return key
 
-        pop = pivots.pop
-
-        vector = values.__getitem__
-
         def coefficients(vec):
             combo = gf2_reduce(vec << m, pivots)
             return [combo >> j & 1 for j in range(m)]
 
-        packed = [sum(x << i for i, x in enumerate(t)) for t in targets]
+        def pack(target):
+            return sum(x << i for i, x in enumerate(target))
 
-    else:
-        echelon = ModpRows(p, m)
-        cache = {}
+        return push, pivots.pop, values.__getitem__, coefficients, pack
 
-        def vector(u):
-            vec = cache.get(u)
-            if vec is None:
-                vec = cache[u] = echelon.pack(values[u])
-            return vec
+    echelon = ModpRows(p, m)
+    cache = {}
 
-        def push(u):
-            seed = 1 << len(echelon.rows) * echelon.width
-            return echelon.insert(echelon.reduce(vector(u) | seed))
+    def vector(u):
+        vec = cache.get(u)
+        if vec is None:
+            vec = cache[u] = echelon.pack(values[u])
+        return vec
 
-        def pop(_):
-            echelon.rows.pop()
+    def push(u):
+        seed = 1 << len(echelon.rows) * echelon.width
+        return echelon.insert(echelon.reduce(vector(u) | seed))
 
-        def coefficients(vec):
-            return [-x % p for x in echelon.combination(echelon.reduce(vec), m)]
+    def pop(_):
+        echelon.rows.pop()
 
-        packed = [echelon.pack(t) for t in targets]
+    def coefficients(vec):
+        # a reduced vector's slots hold minus its interpolant
+        return [-x % p for x in echelon.combination(echelon.reduce(vec), m)]
 
+    return push, pop, vector, coefficients, echelon.pack
+
+
+def _staircase_tails(points, targets=()):
+    """Each basic staircase with the tail of each of its corners, and the
+    interpolant of each target value vector.
+
+    The staircases of m = |V| monomials come from `walk_staircases`, in
+    the lex order of `enumerate_order_ideals`, kept to basic ones by
+    `_echelon_walk`.  On a full staircase the echelon rows span every
+    value vector, so reducing a corner's vector reads off the unique
+    member coefficients of its interpolant, and reducing a target, a
+    vector of values over the points, reads off its own.  Yields
+    (members, tails, fits): one (corner, [(member, coefficient), ...]) per
+    corner in sorted order, and one [(member, coefficient), ...] per
+    target, zero terms left out; with no targets, fits is ().
+    """
+    p, n, m = points.p, points.n, len(points)
+    push, pop, vector, coefficients, pack = _echelon_walk(points)
+    packed = [pack(t) for t in targets]
     for members in walk_staircases(p, n, m, push, pop):
         tails = [
             (c, [(u, x) for u, x in zip(members, coefficients(vector(c))) if x])
@@ -475,14 +487,16 @@ def is_unique_gb(points):
     (`points.lex_unique`): the points are unique exactly when those orders
     give one standard set, and then exactly one staircase of |V| monomials
     has an invertible evaluation matrix, so (True, 1) comes with no walk.
-    For points that are not unique, the basic staircases are counted off
-    the fan's walk, `_staircase_tails`.
+    For points that are not unique, the basic staircases are counted by
+    the fan's walk with its push and pop alone, building no tails.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
     if lex_unique(points):
         return True, 1
-    return False, sum(1 for _ in _staircase_tails(points))
+    push, pop, *_ = _echelon_walk(points)
+    walk = walk_staircases(points.p, points.n, len(points), push, pop)
+    return False, sum(1 for _ in walk)
 
 
 def check_fan_budget(points, max_box=64, max_points=16):

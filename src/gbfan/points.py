@@ -26,30 +26,9 @@ def box_points(p, n):
     return list(_box(p, n))
 
 
-# Largest modulus whose powers eval_monomial reads from a cached table.  The
-# table has p*(p+1) entries and lives as long as the process; for small p it
-# beats pow(), for large p building it costs more than it saves.
-_POW_TABLE_MAX_P = 64
-
-
-@lru_cache(maxsize=None)
-def _pow_table(p):
-    # value ** exponent, exponents up to the cap p
-    return tuple(tuple(pow(v, e, p) for e in range(p + 1)) for v in range(p))
-
-
 def eval_monomial(point, exponents, p):
     """Value of x^exponents at a point, exactly over Z_p."""
-    if p > _POW_TABLE_MAX_P:
-        return prod(pow(v, e, p) for v, e in zip(point, exponents)) % p
-    table = _pow_table(p)
-    out = 1
-    for v, e in zip(point, exponents):
-        if e:
-            out = out * (table[v][e] if e <= p else pow(v, e, p)) % p
-            if not out:
-                return 0
-    return out
+    return prod(pow(v, e, p) for v, e in zip(point, exponents)) % p
 
 
 def _has_kind(value, kind):
@@ -230,28 +209,21 @@ def evaluation_rows(monomials, points, p):
     return [[eval_monomial(v, u, p) for u in monomials] for v in points]
 
 
-def rows_invertible(rows, p):
-    """Whether a square list of integer rows is invertible over Z_p.
-
-    Over Z_2 each row is packed into a bit mask for `gf2_row_rank`.
-    """
-    m = len(rows)
-    if p == 2:
-        masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
-        return gf2_row_rank(masks) == m
-    return modp_row_rank(rows, p) == m
-
-
 def is_basic(staircase, points):
     """Whether the monomials form a quotient basis for the ideal of the points.
 
     True exactly when the evaluation matrix is square and invertible.
+    Over Z_2 each row is packed into a bit mask for `gf2_row_rank`.
     """
     mons = _exponent_list(staircase)
-    pts = points.points
-    return len(mons) == len(pts) and rows_invertible(
-        evaluation_rows(mons, pts, points.p), points.p
-    )
+    pts, p = points.points, points.p
+    if len(mons) != len(pts):
+        return False
+    rows = evaluation_rows(mons, pts, p)
+    if p == 2:
+        masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+        return gf2_row_rank(masks) == len(rows)
+    return modp_row_rank(rows, p) == len(rows)
 
 
 def layer(staircase, j, i):

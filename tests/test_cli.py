@@ -138,6 +138,9 @@ def test_gb_bad_order_exits_2(tmp_path, capsys):
     assert "unknown order" in err
     code, _, _ = _run(capsys, ["gb", toy, "--order", "weight:1,2,3"])
     assert code == 2
+    code, _, err = _run(capsys, ["gb", toy, "--order", "weight:1/0,1"])
+    assert code == 2
+    assert err.count("\n") == 1 and "zero denominator" in err
 
 
 def test_gb_rational_weights(tmp_path, capsys):
@@ -506,6 +509,23 @@ def test_gb_large_p(tmp_path, capsys):
     code, out, _ = _run(capsys, ["gb", path, "--order", "grevlex"])
     assert code == 0
     assert len(json.loads(out)["standard_monomials"]) == 10
+
+
+def test_gb_at_p_2_61_minus_1(tmp_path, capsys):
+    p = 2**61 - 1
+    pair = _write(tmp_path, "pair.json", {"p": p, "n": 2, "points": [[0, 0], [1, 2]]})
+    code, out, _ = _run(capsys, ["gb", pair, "--order", "grevlex"])
+    assert code == 0
+    data = json.loads(out)
+    basis = [parse_polynomial(text, p, 2) for text in data["generators"]]
+    assert all(f.evaluate(v) == 0 for f in basis for v in [(0, 0), (1, 2)])
+
+
+def test_p_beyond_the_primality_bound_exits_2(tmp_path, capsys):
+    big = _write(tmp_path, "big.json", {"p": 2**89 - 1, "n": 1, "points": [[0]]})
+    code, out, err = _run(capsys, ["gb", big, "--order", "lex"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "decided only below" in err
 
 
 def test_fds_select_large_p(tmp_path, capsys):

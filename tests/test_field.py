@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -7,73 +8,89 @@ from pathlib import Path
 import pytest
 
 from gbfan import (
+    LinearShift,
     MatrixZp,
     ModulusMismatch,
-    PrimeModulus,
-    Scalar,
+    PointSet,
+    Polynomial,
     SingularMatrix,
-    ZeroInverse,
-    inverse,
+    apply_shift,
+    evaluation_matrix,
+    is_prime,
     rank,
-    scalar_inverse,
-    solve,
 )
-from gbfan.field import gf2_row_rank, modp_row_rank
+from gbfan.field import _MR_BOUND, gf2_row_rank, modp_row_rank, modp_solve_columns
 from _oracles import span_rank
+
+P31 = 2**31 - 1
+P61 = 2**61 - 1
+# the least primes above 2^31 and 2^40
+P31_NEXT = 2**31 + 11
+P40_NEXT = 2**40 + 15
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    primes = []
+    for n in range(2, 100_000):
+        if all(n % q for q in itertools.takewhile(lambda q: q * q <= n, primes)):
+            primes.append(n)
+    assert len(primes) == 9592
+    prime_set = set(primes)
+    # the uncached test, so 10^5 results do not stay in the cache
+    test = is_prime.__wrapped__
+    assert all(test(n) == (n in prime_set) for n in range(-3, 100_000))
+
+
+def test_is_prime_matches_sympy_below_the_bound():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(404)
+    for _ in range(3000):
+        n = rng.randrange(2, 2 ** rng.randint(2, _MR_BOUND.bit_length()))
+        n = min(n, _MR_BOUND - 1)
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(200):
+        bits = rng.randint(3, _MR_BOUND.bit_length() - 1)
+        assert is_prime(sympy.nextprime(rng.randrange(2 ** (bits - 1), 2**bits)))
+    for bits in (31, 32, 61, 62, 64, 79):
+        q = sympy.prevprime(2**bits)
+        assert is_prime(q) and not is_prime(q * 3) and not is_prime(q + 1), bits
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+    for n in carmichael:
+        assert not is_prime(n), n
+        assert all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7) if n % a)
+    # a strong pseudoprime to bases 2, 3, 5 and 7
+    assert 3215031751 == 151 * 751 * 28351 and not is_prime(3215031751)
+    # the least strong pseudoprime to the first 12 prime bases
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(P31) and is_prime(P61)
+
+
+def test_is_prime_refuses_numbers_beyond_the_bound():
+    for n in (_MR_BOUND, _MR_BOUND + 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(n)
+    for bad in (2.0, "3", True, None):
+        assert not is_prime(bad)
 
 
 def test_prime_modulus_validation():
-    assert PrimeModulus(2).p == 2
-    assert PrimeModulus(2147483647).p == 2147483647  # 2^31 - 1 is prime
-    for bad in (0, 1, 4, 9, -7, 2**31):
+    assert MatrixZp(2, [[3]]).p == 2
+    # the old 2^31 - 1 cap is gone: any prime the test decides is a modulus
+    for p in (P31, P31_NEXT, P61):
+        assert MatrixZp(p, [[p + 5]]).to_lists() == [[5]]
+    for bad in (0, 1, 4, 9, -7, 2**31, "3", 3.0):
         with pytest.raises(ValueError):
-            PrimeModulus(bad)
-    with pytest.raises(ValueError):
-        PrimeModulus("3")
-
-
-def test_scalar_reduction_and_arithmetic():
-    mod = PrimeModulus(5)
-    a = Scalar(7, mod)
-    assert a.value == 2
-    assert (a + Scalar(4, mod)).value == 1
-    assert (a - 3).value == 4
-    assert (a * a).value == 4
-    assert (-a).value == 3
-    assert (a**0).value == 1
+            MatrixZp(bad, [[1]])
 
 
 def test_mixed_moduli_rejected():
     with pytest.raises(ModulusMismatch):
-        Scalar(1, 2) + Scalar(1, 3)
+        Polynomial.constant(2, 1, 1) + Polynomial.constant(3, 1, 1)
     with pytest.raises(ModulusMismatch):
-        Scalar(2, 5) * Scalar(2, 7)
-    with pytest.raises(ModulusMismatch):
-        MatrixZp(3, [[Scalar(1, 5)]])
-
-
-def test_scalar_inverse_examples():
-    assert scalar_inverse(Scalar(2, 3)).value == 2
-    assert scalar_inverse(Scalar(1, 2)).value == 1
-    # exhaustive search over Z_5
-    expected = next(b for b in range(1, 5) if (3 * b) % 5 == 1)
-    assert expected == 2
-    assert scalar_inverse(Scalar(3, 5)).value == expected
-
-
-def test_scalar_inverse_zero_rejected():
-    with pytest.raises(ZeroInverse):
-        scalar_inverse(Scalar(0, 3))
-    with pytest.raises(ZeroInverse):
-        Scalar(0, 3) ** -1
-
-
-def test_inverse_involution():
-    for p in (2, 3, 5, 7):
-        for a in range(1, p):
-            s = Scalar(a, p)
-            assert scalar_inverse(scalar_inverse(s)) == s
-            assert (s * scalar_inverse(s)).value == 1
+        apply_shift(LinearShift(5, (1,), (1,)), PointSet(7, 1, [(0,)]))
 
 
 def test_rank_examples():
@@ -106,50 +123,62 @@ def _toy_matrix(monomials, points, p):
 
 def test_solve_model_fit_examples():
     pts = [(0, 0), (1, 0), (2, 1)]
-    m1 = _toy_matrix([(0, 0), (1, 0), (0, 1)], pts, 3)
-    sol1 = solve(m1, (0, 0, 1))
-    assert [s.value for s in sol1] == [0, 0, 1]  # f = y
-    m2 = _toy_matrix([(0, 0), (1, 0), (2, 0)], pts, 3)
-    sol2 = solve(m2, (0, 0, 1))
-    assert [s.value for s in sol2] == [0, 1, 2]  # f = x + 2x^2
-    assert [s.value for s in solve(m1, (0, 0, 0))] == [0, 0, 0]
+    m1 = _toy_matrix([(0, 0), (1, 0), (0, 1)], pts, 3).to_lists()
+    assert modp_solve_columns(m1, [(0, 0, 1)], 3) == [[0, 0, 1]]  # f = y
+    m2 = _toy_matrix([(0, 0), (1, 0), (2, 0)], pts, 3).to_lists()
+    assert modp_solve_columns(m2, [(0, 0, 1)], 3) == [[0, 1, 2]]  # f = x + 2x^2
+    assert modp_solve_columns(m1, [(0, 0, 0), (3, -3, 7)], 3) == [[0, 0, 0], [0, 0, 1]]
+    assert modp_solve_columns([], [[], []], 5) == [[], []]
 
 
 def test_solve_singular_rejected():
+    # [[3, 0], [0, 1]] is singular once 3 is reduced mod 3
+    singular = ([[1, 0], [1, 0]], [[1, 1], [2, 2]], [[0, 0], [0, 0]], [[3, 0], [0, 1]])
+    for rows in singular:
+        with pytest.raises(SingularMatrix):
+            modp_solve_columns(rows, [(1, 1)], 3)
     with pytest.raises(SingularMatrix):
-        solve(MatrixZp(3, [[1, 0], [1, 0]]), (1, 1))
+        modp_solve_columns([[1, 0, 0], [0, 1, 0]], [(1, 1)], 3)
     with pytest.raises(SingularMatrix):
-        solve(MatrixZp(3, [[1, 0, 0], [0, 1, 0]]), (1, 1))
+        modp_solve_columns([[1], [0]], [(1, 1)], 3)
+    with pytest.raises(ValueError):
+        modp_solve_columns([[1, 0], [0, 1]], [(1, 1, 1)], 3)
 
 
 def test_solve_multiply_back():
     rng = random.Random(202)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, P31, P61):
         for size in range(1, 9):
             for _ in range(6):
                 while True:
-                    rows = [
-                        [rng.randrange(p) for _ in range(size)] for _ in range(size)
-                    ]
+                    rows = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
                     m = MatrixZp(p, rows)
                     if rank(m) == size:
                         break
-                rhs = [rng.randrange(p) for _ in range(size)]
-                sol = solve(m, rhs)
-                assert m.matvec(sol) == rhs
+                # entries outside [0, p) are reduced first
+                if rng.random() < 0.5:
+                    rows = [[x + p * rng.randrange(-2, 3) for x in row] for row in rows]
+                rhs = [[rng.randrange(p) for _ in range(size)] for _ in range(3)]
+                # the largest entries make the widest slots
+                rhs.append([p - 1] * size)
+                sols = modp_solve_columns(rows, rhs, p)
+                assert [m.matvec(x) for x in sols] == rhs
+                assert all(0 <= x < p for sol in sols for x in sol)
 
 
 def test_matrix_inverse():
+    # solving against the identity's columns gives the inverse's columns
     m = MatrixZp(5, [[1, 2], [3, 4]])
-    mi = inverse(m)
-    a, b = m.to_lists(), mi.to_lists()
+    cols = modp_solve_columns(m.to_lists(), [(1, 0), (0, 1)], 5)
+    inv = MatrixZp(5, cols).transpose()
+    a, b = m.to_lists(), inv.to_lists()
     prod = [
         [sum(a[i][k] * b[k][j] for k in range(2)) % 5 for j in range(2)]
         for i in range(2)
     ]
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(SingularMatrix):
-        inverse(MatrixZp(3, [[1, 1], [2, 2]]))
+        modp_solve_columns([[1, 1], [2, 2]], [(1, 0), (0, 1)], 3)
 
 
 def test_row_rank_helpers_agree_with_matrix_rank():
@@ -167,12 +196,43 @@ def test_row_rank_helpers_agree_with_matrix_rank():
             assert gf2_row_rank(masks) == expected
 
 
+def test_modp_row_rank_on_rectangular_shapes():
+    rng = random.Random(505)
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 5), (2, 7), (7, 2), (6, 1), (4, 4)]
+    for p in (2, 3, 5):
+        for nrows, ncols in shapes:
+            for _ in range(8):
+                # few distinct rows, so that ranks below both sides come up
+                pool = [[rng.randrange(p) for _ in range(ncols)] for _ in range(3)]
+                data = [
+                    [x + p * rng.randrange(-1, 3) for x in rng.choice(pool)]
+                    if rng.random() < 0.5
+                    else [rng.randrange(p) for _ in range(ncols)]
+                    for _ in range(nrows)
+                ]
+                expected = span_rank([[x % p for x in row] for row in data], p)
+                assert modp_row_rank(data, p) == expected, (p, data)
+                assert rank(MatrixZp(p, data)) == expected
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         MatrixZp(3, [[1, 2], [1]])
     m = MatrixZp(7, [[8, -1]])
     assert m.to_lists() == [[1, 6]]
-    assert m.entry(0, 1) == Scalar(6, 7)
+    assert m.entries == ((1, 6),) and m.p == 7
+
+
+def test_matrix_and_evaluation_above_2_31():
+    p = P40_NEXT
+    V = PointSet(p, 2, [(0, 0), (p - 1, 1), (2**35, p - 2)])
+    ev = evaluation_matrix([(0, 0), (2, 0), (1, 1)], V)
+    assert ev.p == p and ev.shape == (3, 3)
+    assert ev.to_lists() == [[1, x * x % p, x * y % p] for x, y in V.points]
+    assert ev.transpose().transpose() == ev
+    assert rank(ev) == 3
+    sol = modp_solve_columns(ev.to_lists(), [(5, 6, 7)], p)[0]
+    assert ev.matvec(sol) == [5, 6, 7]
 
 
 def test_matrix_shape_survives_empty_dimensions():
