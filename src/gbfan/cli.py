@@ -203,7 +203,7 @@ def cmd_unique(args, config):
 
 def cmd_staircase(args, config):
     points = load_point_set(args.points, config.p, config.n)
-    found = find_staircase_shift(points, max_box=config.max_box)
+    found = find_staircase_shift(points, max_sets=config.max_sets)
     if found is None:
         _emit({"found": False}, config)
     else:

@@ -48,6 +48,14 @@ def is_prime(p):
     return True
 
 
+def int_tuple(values, what):
+    """The values as a tuple, refused unless each has type int, not bool."""
+    out = tuple(values)
+    if any(type(x) is not int for x in out):
+        raise ValueError(f"{what} must be integers, got {list(out)!r}")
+    return out
+
+
 class MatrixZp:
     """Dense matrix over Z_p: reduced entries as a tuple of int tuples.
 
@@ -60,7 +68,7 @@ class MatrixZp:
     def __init__(self, p, rows):
         if not is_prime(p):
             raise ValueError(f"p must be prime: {p!r}")
-        data = tuple(tuple(int(x) % p for x in row) for row in rows)
+        data = tuple(tuple(x % p for x in int_tuple(row, "entries")) for row in rows)
         if len({len(row) for row in data}) > 1:
             raise ValueError("rows of unequal length")
         self.p = p
@@ -88,7 +96,7 @@ class MatrixZp:
 
     def matvec(self, values):
         p = self.p
-        vec = [int(v) % p for v in values]
+        vec = [x % p for x in int_tuple(values, "values")]
         if len(vec) != self.cols:
             raise ValueError(f"expected {self.cols} values, got {len(vec)}")
         return [sum(a * b for a, b in zip(row, vec)) % p for row in self.entries]

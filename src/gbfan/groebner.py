@@ -33,7 +33,7 @@ from operator import mul, sub
 
 from .errors import BudgetExceeded, EmptyPointSet
 from .field import ModpRows, gf2_reduce
-from .points import OrderIdealSet, check_box_budget, lex_unique, walk_staircases
+from .points import OrderIdealSet, lex_unique, walk_staircases
 from .poly import (
     MarkedPolynomial,
     Polynomial,
@@ -55,9 +55,6 @@ class ReducedGroebnerBasis:
         self.standard_monomials = standard_monomials
         self.p = standard_monomials.p
         self.n = standard_monomials.n
-
-    def polynomials(self):
-        return [g.poly for g in self.generators]
 
     def leading_exponents(self):
         return [g.leading for g in self.generators]
@@ -508,7 +505,8 @@ def check_fan_budget(points, max_box=64, max_points=16):
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
     m = len(points)
-    check_box_budget(points.p, points.n, m, max_box)
+    if (box := min(points.p, m) ** points.n) > max_box:
+        raise BudgetExceeded(f"box size {box} exceeds the budget {max_box}")
     if m > max_points:
         raise BudgetExceeded(f"{m} points exceed the budget {max_points}")
 

@@ -10,8 +10,8 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
-from .errors import BudgetExceeded, DimensionMismatch, EmptyStaircase
-from .field import MatrixZp, gf2_row_rank, is_prime, modp_row_rank
+from .errors import DimensionMismatch, EmptyStaircase
+from .field import MatrixZp, gf2_row_rank, int_tuple, is_prime, modp_row_rank
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +70,7 @@ class PointSet:
         seen = set()
         cleaned = []
         for v in points:
-            t = tuple(int(c) for c in v)
+            t = int_tuple(v, "coordinates")
             if len(t) != n:
                 raise DimensionMismatch(
                     f"point {t} has {len(t)} coordinates, expected {n}"
@@ -112,7 +112,7 @@ class PointSet:
     def union(self, extra):
         pts = set(self.points)
         for v in extra:
-            pts.add(tuple(int(c) for c in v))
+            pts.add(int_tuple(v, "coordinates"))
         return PointSet(self.p, self.n, pts)
 
     def complement(self):
@@ -158,10 +158,6 @@ class OrderIdealSet(PointSet):
         s._members = set(members)
         return s
 
-    @property
-    def members(self):
-        return self.points
-
 
 def is_staircase(points):
     """Whether a set, read as exponent vectors, is downward closed."""
@@ -179,7 +175,7 @@ def is_staircase(points):
 def _exponent_list(monomials):
     if isinstance(monomials, PointSet):
         return list(monomials.points)
-    return [tuple(int(x) for x in u) for u in monomials]
+    return [int_tuple(u, "exponents") for u in monomials]
 
 
 def evaluation_matrix(monomials, points, p=None):
@@ -193,7 +189,7 @@ def evaluation_matrix(monomials, points, p=None):
         pts = list(points.points)
         p = points.p
     else:
-        pts = [tuple(int(c) for c in v) for v in points]
+        pts = [int_tuple(v, "coordinates") for v in points]
         if p is None and isinstance(monomials, PointSet):
             p = monomials.p
     if p is None:
@@ -257,17 +253,6 @@ def _box_table(q, n):
         sum(1 << i - step for step, c in zip(steps, v) if c) for i, v in enumerate(box)
     )
     return box, needs
-
-
-def check_box_budget(p, n, m, max_box):
-    """Refuse a walk over staircases of m monomials whose box is too large.
-
-    Such a walk stays inside [0, min(p, m))^n, whose size `max_box`
-    bounds.  Raises BudgetExceeded.
-    """
-    box = min(p, m) ** n
-    if box > max_box:
-        raise BudgetExceeded(f"box size {box} exceeds the budget {max_box}")
 
 
 def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
@@ -469,11 +454,6 @@ def lex_unique(points):
     return lex.unique(mask)
 
 
-@lru_cache(maxsize=None)
-def _order_ideal_tuples(p, n, m):
-    return tuple(walk_staircases(p, n, m))
-
-
 def enumerate_order_ideals(p, n, m):
     """All downward-closed m-subsets of [0, p)^n.
 
@@ -484,4 +464,4 @@ def enumerate_order_ideals(p, n, m):
         raise ValueError(f"p must be prime: {p}")
     if not 1 <= m <= p**n:
         raise ValueError(f"m must lie in [1, {p**n}], got {m}")
-    return [OrderIdealSet(p, n, members) for members in _order_ideal_tuples(p, n, m)]
+    return [OrderIdealSet(p, n, members) for members in walk_staircases(p, n, m)]

@@ -38,12 +38,6 @@ class MonomialOrder:
         ku, kv = self.key(tuple(u)), self.key(tuple(v))
         return (ku > kv) - (ku < kv)
 
-    def max_exponent(self, exponents):
-        return max(exponents, key=self.key)
-
-    def sorted_descending(self, exponents):
-        return sorted(exponents, key=self.key, reverse=True)
-
     def __eq__(self, other):
         return type(self) is type(other) and self._params() == other._params()
 
@@ -224,10 +218,6 @@ class Polynomial:
             raise IndexError(f"variable index {i} outside 0..{n - 1}")
         exps = tuple(int(j == i) for j in range(n))
         return cls(p, n, {exps: 1})
-
-    @classmethod
-    def monomial(cls, p, n, exponents, coeff=1):
-        return cls(p, n, {tuple(exponents): coeff})
 
     def _check_compatible(self, other):
         if self.p != other.p:

@@ -10,13 +10,14 @@ maps generate.
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from operator import add
 
-from .errors import BudgetExceeded, DimensionMismatch, ModulusMismatch
+from .errors import BudgetExceeded, DimensionMismatch, EmptyPointSet, ModulusMismatch
 from .field import is_prime
-from .points import PointSet, box_points, check_box_budget, enumerate_order_ideals
+from .points import OrderIdealSet, PointSet, box_points, is_staircase
 from .poly import Polynomial
 
 
@@ -57,9 +58,6 @@ class LinearShift:
             out.append(ai)
             out.append(bi)
         return tuple(out)
-
-    def is_identity(self):
-        return all(x == 1 for x in self.a) and all(x == 0 for x in self.b)
 
     def to_json(self):
         return {"a": list(self.a), "b": list(self.b)}
@@ -138,6 +136,30 @@ def all_shifts(p, n):
         yield LinearShift(p, [ab[0] for ab in combo], [ab[1] for ab in combo])
 
 
+def _coordinate_pairs(src_col, tgt_col, p):
+    """The pairs (a, b), ascending, for which x -> a x + b carries the
+    multiset src_col onto tgt_col.  The images t0 != t1 of the two least
+    distinct source values s0, s1 fix a = (t1 - t0) / (s1 - s0) and
+    b = t0 - a s0, and each guess is checked by its sorted image:
+    O(h^2 m log m) for h distinct values, whatever p is.  A one-value
+    column yields only a = 1, first of the scales, which all move it alike.
+    """
+    target = sorted(tgt_col)
+    s, t = sorted(set(src_col)), sorted(set(target))
+    if len(s) != len(t):
+        return []
+    if len(s) == 1:
+        return [(1, (t[0] - s[0]) % p)]
+    step = pow(s[1] - s[0], -1, p)
+    pairs = []
+    for t0, t1 in itertools.permutations(t, 2):
+        a = (t1 - t0) * step % p
+        b = (t0 - a * s[0]) % p
+        if sorted((a * x + b) % p for x in src_col) == target:
+            pairs.append((a, b))
+    return sorted(pairs)
+
+
 def detect_shift(source, target):
     """The shift mapping source onto target, or None.
 
@@ -156,19 +178,10 @@ def detect_shift(source, target):
     if len(source) == 0 or n == 0:
         return LinearShift.identity(p, n)
     target_set = set(target.points)
-    candidates = []
-    for j in range(n):
-        src_col = sorted(v[j] for v in source)
-        tgt_col = sorted(v[j] for v in target)
-        pairs = [
-            (a, b)
-            for a in range(1, p)
-            for b in range(p)
-            if sorted((a * x + b) % p for x in src_col) == tgt_col
-        ]
-        if not pairs:
-            return None
-        candidates.append(pairs)
+    candidates = [
+        _coordinate_pairs(src_col, tgt_col, p)
+        for src_col, tgt_col in zip(zip(*source), zip(*target))
+    ]
     for combo in itertools.product(*candidates):
         shift = LinearShift(p, [ab[0] for ab in combo], [ab[1] for ab in combo])
         if {shift.apply_point(v) for v in source} == target_set:
@@ -176,23 +189,34 @@ def detect_shift(source, target):
     return None
 
 
-def find_staircase_shift(points, max_box=64):
+def find_staircase_shift(points, max_sets=20000):
     """A staircase and the shift carrying it onto the points, or None.
 
-    Every staircase of matching size is tried; among the successes the
-    pair with the lexicographically smallest shift coefficients wins.
-    Those staircases lie in [0, min(p, |V|))^n, and a box larger than
-    `max_box` raises BudgetExceeded before any is listed.
+    A staircase's fibers along a coordinate do not grow, so its column j
+    takes the value i as often as the i-th largest fiber of V's column j.
+    The shifts onto V are then the product of the `_coordinate_pairs` of
+    those columns, scanned in coefficient order until a preimage of V is
+    a staircase; the first has the smallest (a_1, b_1, ..., a_n, b_n).  A
+    product over `max_sets` raises BudgetExceeded before any is tried.
     """
-    check_box_budget(points.p, points.n, len(points), max_box)
-    best = None
-    for ideal in enumerate_order_ideals(points.p, points.n, len(points)):
-        shift = detect_shift(ideal, points)
-        if shift is not None and (
-            best is None or shift.coefficients() < best[0].coefficients()
-        ):
-            best = (shift, ideal)
-    return best
+    if len(points) == 0:
+        raise EmptyPointSet("empty point set")
+    p = points.p
+    candidates = []
+    for col in zip(*points):
+        counts = sorted(Counter(col).values(), reverse=True)
+        stair_col = [i for i, c in enumerate(counts) for _ in range(c)]
+        pairs = _coordinate_pairs(stair_col, col, p)
+        candidates.append([(a, b, pow(a, -1, p)) for a, b in pairs])
+    total = prod(map(len, candidates))
+    if total > max_sets:
+        raise BudgetExceeded(f"{total} shifts exceed the budget {max_sets}; raise max_sets")
+    for combo in itertools.product(*candidates):
+        preimage = [tuple(i * (x - b) % p for (_, b, i), x in zip(combo, v)) for v in points]
+        if is_staircase(preimage):
+            shift = LinearShift(p, [c[0] for c in combo], [c[1] for c in combo])
+            return shift, OrderIdealSet(p, points.n, preimage)
+    return None
 
 
 @dataclass(frozen=True)

@@ -633,20 +633,47 @@ def test_no_augmentation_never_lists_the_box(tmp_path):
 
 
 def test_staircase_box_budget(tmp_path, capsys, monkeypatch):
-    # five diagonal points in Z_5^7 once walked every staircase of a box of
-    # 5^7 members; the box budget refuses them before any walk
+    # `--max-sets` bounds the shifts `staircase` tries, the product of the
+    # surviving scale/offset pairs per coordinate, and no staircase is
+    # listed, so diagonal points build no box table
     import gbfan.points
 
     def refuse(*args):
         raise AssertionError("a box table was built")
 
     monkeypatch.setattr(gbfan.points, "_box_table", refuse)
-    diagonal = [[i] * 7 for i in range(5)]
-    path = _write(tmp_path, "diagonal.json", {"p": 5, "n": 7, "points": diagonal})
-    code, out, err = _run(capsys, ["staircase", path])
-    assert (code, out, err) == (3, "", "error: box size 78125 exceeds the budget 64\n")
-    code, _, err = _run(capsys, ["staircase", path, "--max-box", "78124"])
-    assert code == 3 and err == "error: box size 78125 exceeds the budget 78124\n"
+    wide = _write(tmp_path, "wide.json", {"p": 5, "n": 7, "points": [[i] * 7 for i in range(5)]})
+    code, out, err = _run(capsys, ["staircase", wide])
+    assert (code, out) == (3, "")
+    assert err == "error: 1280000000 shifts exceed the budget 20000; raise max_sets\n"
+    # in Z_5^2 all 20 pairs of each coordinate survive: 20 x 20 = 400 shifts
+    plane = _write(tmp_path, "plane.json", {"p": 5, "n": 2, "points": [[i, i] for i in range(5)]})
+    code, out, err = _run(capsys, ["staircase", plane, "--max-sets", "399"])
+    assert (code, out) == (3, "")
+    assert err == "error: 400 shifts exceed the budget 399; raise max_sets\n"
+    code, out, err = _run(capsys, ["staircase", plane, "--max-sets", "400"])
+    assert (code, json.loads(out), err) == (0, {"found": False}, "")
+
+
+def test_staircase_empty_points_exits_2(tmp_path, capsys):
+    empty = _write(tmp_path, "empty.json", {"p": 3, "n": 2, "points": []})
+    assert _run(capsys, ["staircase", empty]) == (2, "", "error: empty point set\n")
+
+
+def test_shift_searches_at_a_large_prime_return(tmp_path):
+    # a scan over all p(p - 1) scale/offset pairs per coordinate would not
+    # finish here; the timeout makes such a scan fail the test, not hang it
+    p = 1000003
+    two = _write(tmp_path, "two.json", {"p": p, "n": 1, "points": [[0], [1]]})
+    moved = _write(tmp_path, "moved.json", {"p": p, "n": 1, "points": [[5], [7]]})
+    code, out, err = _run_module(tmp_path, ["staircase", two])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "found": True, "shift": {"a": [1], "b": [0]}, "staircase": [[0], [1]]
+    }
+    code, out, err = _run_module(tmp_path, ["shift", two, moved])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"found": True, "shift": {"a": [2], "b": [5]}}
 
 
 def test_fm_pair_budget_exits_3(tmp_path, capsys, monkeypatch):

@@ -223,6 +223,22 @@ def test_matrix_validation():
     assert m.entries == ((1, 6),) and m.p == 7
 
 
+def test_matrix_refuses_non_integer_entries():
+    # a float or a bool is refused, never truncated: [[1.7, True]] is not [[1, 1]]
+    for row in ([1.7, 1], [1, True], [1, "2"]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            MatrixZp(3, [row])
+
+
+def test_matvec_refuses_non_integer_values():
+    # [2.9] is refused, never read as [2]
+    matrix = MatrixZp(3, [[1]])
+    for values in ([2.9], [False]):
+        with pytest.raises(ValueError, match="values must be integers"):
+            matrix.matvec(values)
+    assert matrix.matvec([5]) == [2]
+
+
 def test_matrix_and_evaluation_above_2_31():
     p = P40_NEXT
     V = PointSet(p, 2, [(0, 0), (p - 1, 1), (2**35, p - 2)])

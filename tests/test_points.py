@@ -51,6 +51,21 @@ def test_point_set_complement_and_union():
     assert V.union([(0, 1)]).points == ((0, 0), (0, 1), (1, 1))
 
 
+def test_point_set_refuses_non_integer_coordinates():
+    # (1.5,) is refused, never stored as (1,)
+    for point in ((1.5,), (True,), ("1",)):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            PointSet(3, 1, [point])
+
+
+def test_union_refuses_non_integer_coordinates():
+    # 1.0 equals 1, so a float copy of a member would vanish into the set
+    V = PointSet(3, 1, [(1,)])
+    for point in ((1.0,), (2.5,), (True,)):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            V.union([point])
+
+
 def test_order_ideal_validation():
     OrderIdealSet(3, 2, [(0, 0), (0, 1), (1, 0)])
     with pytest.raises(ValueError):
@@ -92,6 +107,20 @@ def test_evaluation_matrix_examples():
         evaluation_matrix(lam1, raw)
     with pytest.raises(DimensionMismatch):
         evaluation_matrix([(0, 0, 0)], V)
+
+
+def test_evaluation_matrix_refuses_non_integer_exponents():
+    # the exponent 1.5 is refused, never read as 1
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        evaluation_matrix([(1.5,)], [(2,)], p=3)
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        is_basic([(True,)], PointSet(3, 1, [(2,)]))
+
+
+def test_evaluation_matrix_refuses_non_integer_points():
+    for point in ((2.0,), (False,)):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            evaluation_matrix([(1,)], [point], p=3)
 
 
 def test_is_basic_examples():

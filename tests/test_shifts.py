@@ -8,6 +8,7 @@ import pytest
 from gbfan import (
     BudgetExceeded,
     DimensionMismatch,
+    EmptyPointSet,
     GrevLexOrder,
     GrLexOrder,
     LexOrder,
@@ -25,6 +26,7 @@ from gbfan import (
     enumerate_order_ideals,
     find_staircase_shift,
     invert_shift,
+    is_staircase,
     parse_polynomial,
     shift_orbit,
 )
@@ -205,6 +207,91 @@ def test_find_staircase_shift_examples():
     shift, ideal = find_staircase_shift(S)
     assert shift == LinearShift.identity(3, 2)
     assert ideal.points == S.points
+
+
+def _oracle_staircase_shift(V):
+    return brute_force_staircase_shift(V, enumerate_order_ideals(V.p, V.n, len(V)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_find_staircase_shift_matches_oracle_on_every_subset(p, n):
+    # every staircase against every shift, on every nonempty subset
+    box = box_points(p, n)
+    hits = 0
+    for m in range(1, len(box) + 1):
+        for subset in itertools.combinations(box, m):
+            V = PointSet(p, n, subset)
+            expected = _oracle_staircase_shift(V)
+            assert find_staircase_shift(V) == expected, V
+            hits += expected is not None
+    assert hits > 0
+
+
+@pytest.mark.parametrize("p,n,sizes", [(5, 2, (3, 4, 5)), (7, 2, (2, 3, 4)), (2, 5, (3, 5, 6))])
+def test_find_staircase_shift_matches_oracle_on_shifted_staircases(p, n, sizes):
+    rng = random.Random(p * 100 + n)
+    for m in sizes:
+        staircases = enumerate_order_ideals(p, n, m)
+        for _ in range(4):
+            V = apply_shift(random_shift(rng, p, n), rng.choice(staircases))
+            expected = _oracle_staircase_shift(V)
+            assert expected is not None
+            assert find_staircase_shift(V) == expected, V
+
+
+def test_find_staircase_shift_budget_counts_shifts(monkeypatch):
+    # the diagonal of Z_5^2: each column takes every value once, so all 20
+    # scale/offset pairs of a coordinate survive, and 20 x 20 shifts remain;
+    # none has a staircase preimage
+    import gbfan.shifts
+
+    tried = []
+
+    def counting(points):
+        tried.append(points)
+        return is_staircase(points)
+
+    monkeypatch.setattr(gbfan.shifts, "is_staircase", counting)
+    diagonal = PointSet(5, 2, [(i, i) for i in range(5)])
+    assert find_staircase_shift(diagonal, max_sets=400) is None
+    assert len(tried) == 400
+    tried.clear()
+    with pytest.raises(BudgetExceeded, match="400 shifts exceed the budget 399"):
+        find_staircase_shift(diagonal, max_sets=399)
+    assert tried == []
+
+
+def test_find_staircase_shift_in_z2_10_under_default_budgets():
+    # the staircase {0, e_1, ..., e_10}, moved by an offset: its box has
+    # 2^10 members, but each column has one surviving pair, so one shift
+    # is tried
+    n = 10
+    corner = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    staircase = PointSet(2, n, [(0,) * n, *corner])
+    offset = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1)
+    V = apply_shift(LinearShift(2, (1,) * n, offset), staircase)
+    shift, ideal = find_staircase_shift(V)
+    assert shift == LinearShift(2, (1,) * n, offset)
+    assert ideal.points == staircase.points
+
+
+def test_find_staircase_shift_refuses_an_empty_set():
+    with pytest.raises(EmptyPointSet):
+        find_staircase_shift(PointSet(3, 2, []))
+
+
+def test_shift_searches_do_not_grow_with_p():
+    # a scan over all p(p - 1) pairs per coordinate would not return here
+    p = 1000003
+    V = PointSet(p, 2, [(0, 5), (1, 5), (0, 9)])
+    shift, ideal = find_staircase_shift(V)
+    assert ideal.points == ((0, 0), (0, 1), (1, 0))
+    assert apply_shift(shift, ideal) == V
+    W = PointSet(p, 2, [(7, 1), (9, 1), (7, 3)])
+    found = detect_shift(V, W)
+    half = pow(2, -1, p)
+    assert found == LinearShift(p, (2, half), (7, 1 - 5 * half))
+    assert apply_shift(found, V) == W
 
 
 def test_classify_singletons():
