@@ -370,17 +370,31 @@ def cmd_lac_demo(args, config):
     return 0
 
 
-def _add_common(parser, shape_required=False):
+# options that several commands read; each command registers the ones it reads
+_SHARED = {
+    "--names": {"help": "comma-separated variable names for output"},
+    "--p": {"type": int, "help": "modulus for CSV input"},
+    "--n": {"type": int, "help": "arity for CSV input"},
+    "--max-box": {"type": int},
+    "--max-points": {"type": int},
+    "--max-sets": {"type": int},
+}
+_CSV = ("--p", "--n")
+_FAN = ("--max-box", "--max-points")
+_JSON_TEXT = ("json", "text")
+
+
+def _command(sub, name, help, func, *flags, formats=()):
+    """A subcommand with --config, --format over `formats` when it renders
+    more than JSON, and the named shared options, spelled out in full."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.set_defaults(func=func)
     parser.add_argument("--config", help="JSON file with RunConfig fields")
-    parser.add_argument("--format", choices=FORMATS, default=None)
-    parser.add_argument("--names", help="comma-separated variable names for output")
-    parser.add_argument("--seed", type=int, default=None)
-    csv = "" if shape_required else " for CSV input"
-    parser.add_argument("--p", type=int, required=shape_required, help="modulus" + csv)
-    parser.add_argument("--n", type=int, required=shape_required, help="arity" + csv)
-    parser.add_argument("--max-box", type=int, default=None)
-    parser.add_argument("--max-points", type=int, default=None)
-    parser.add_argument("--max-sets", type=int, default=None)
+    if formats:
+        parser.add_argument("--format", choices=formats, default=None)
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED[flag])
+    return parser
 
 
 # parsing leaves the parser unchanged, so in-process callers of main() share one
@@ -392,69 +406,55 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("gb", help="reduced basis for one monomial order")
+    sp = _command(sub, "gb", "reduced basis for one monomial order", cmd_gb,
+                  "--names", *_CSV, formats=_JSON_TEXT)
     sp.add_argument("points")
     sp.add_argument("--order", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gb)
 
-    sp = sub.add_parser("fan", help="every reduced basis of the vanishing ideal")
-    sp.add_argument("points")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fan)
+    _command(sub, "fan", "every reduced basis of the vanishing ideal", cmd_fan,
+             "--names", *_CSV, *_FAN, formats=_JSON_TEXT).add_argument("points")
 
-    sp = sub.add_parser("unique", help="uniqueness of the reduced basis")
-    sp.add_argument("points")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_unique)
+    _command(sub, "unique", "uniqueness of the reduced basis", cmd_unique,
+             *_CSV, *_FAN).add_argument("points")
 
-    sp = sub.add_parser("staircase", help="detect a shifted staircase")
-    sp.add_argument("points")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_staircase)
+    _command(sub, "staircase", "detect a shifted staircase", cmd_staircase,
+             *_CSV, "--max-sets").add_argument("points")
 
-    sp = sub.add_parser("shift", help="detect a linear shift between two sets")
+    sp = _command(sub, "shift", "detect a linear shift between two sets", cmd_shift,
+                  *_CSV)
     sp.add_argument("source")
     sp.add_argument("target")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_shift)
 
-    sp = sub.add_parser("classify", help="shift-equivalence classification sweep")
+    sp = _command(sub, "classify", "shift-equivalence classification sweep",
+                  cmd_classify, "--max-sets", *_FAN)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--sample", type=int, default=None)
-    _add_common(sp, shape_required=True)
-    sp.set_defaults(func=cmd_classify)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--p", type=int, required=True, help="modulus")
+    sp.add_argument("--n", type=int, required=True, help="arity")
 
     fds = sub.add_parser("fds", help="finite dynamical system pipelines")
     fds_sub = fds.add_subparsers(dest="fds_command", required=True)
 
-    sp = fds_sub.add_parser("state-space", help="functional graph of a system")
-    sp.add_argument("fds")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fds_state_space)
+    _command(fds_sub, "state-space", "functional graph of a system",
+             cmd_fds_state_space, formats=FORMATS).add_argument("fds")
 
-    sp = fds_sub.add_parser("select", help="interpolating model for one order")
+    sp = _command(fds_sub, "select", "interpolating model for one order",
+                  cmd_fds_select, "--names")
     sp.add_argument("data")
     sp.add_argument("--order", required=True)
     sp.add_argument("--coordinate", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fds_select)
 
-    sp = fds_sub.add_parser("models", help="all interpolating models")
-    sp.add_argument("data")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fds_models)
+    _command(fds_sub, "models", "all interpolating models", cmd_fds_models,
+             *_FAN).add_argument("data")
 
-    sp = fds_sub.add_parser("augment", help="fewest points forcing uniqueness")
+    sp = _command(fds_sub, "augment", "fewest points forcing uniqueness",
+                  cmd_fds_augment, *_CSV, "--max-sets", "--max-box")
     sp.add_argument("points")
     sp.add_argument("--max-k", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fds_augment)
 
-    sp = sub.add_parser("lac-demo", help="end-to-end lac operon walkthrough")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_lac_demo)
-
+    _command(sub, "lac-demo", "end-to-end lac operon walkthrough", cmd_lac_demo,
+             "--names", formats=_JSON_TEXT)
     return parser
 
 

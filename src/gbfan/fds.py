@@ -18,7 +18,7 @@ from .errors import (
     SingularMatrix,
 )
 from .groebner import _coherent_staircases, check_fan_budget
-from .field import modp_solve_columns
+from .field import int_tuple, modp_solve_columns
 from .points import (
     PointSet,
     _LexStandardSets,
@@ -159,7 +159,7 @@ class FiniteDynamicalSystem:
         self.components = components
 
     def apply(self, state):
-        v = tuple(int(c) for c in state)
+        v = int_tuple(state, "state coordinates")
         if len(v) != self.n:
             raise DimensionMismatch(f"state {v} has length {len(v)}, expected {self.n}")
         return tuple(f.evaluate(v) for f in self.components)
@@ -287,8 +287,9 @@ class DataSet:
         self.n = inputs.n
         self.inputs = inputs
         tidy = {}
-        for j, values in outputs.items():
-            vals = tuple(int(x) for x in values)
+        for key, values in outputs.items():
+            (j,) = int_tuple((key,), "output coordinates")
+            vals = int_tuple(values, "outputs")
             if len(vals) != len(inputs):
                 raise DimensionMismatch(
                     f"{len(vals)} outputs for coordinate {j}, expected {len(inputs)}"
@@ -296,9 +297,9 @@ class DataSet:
             for x in vals:
                 if not 0 <= x < self.p:
                     raise ValueError(
-                        f"outputs for x{int(j) + 1} must lie in [0, {self.p}), got {x}"
+                        f"outputs for x{j + 1} must lie in [0, {self.p}), got {x}"
                     )
-            tidy[int(j)] = vals
+            tidy[j] = vals
         self.outputs = tidy
 
     @classmethod
@@ -440,9 +441,10 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
     the first subset whose union with the points has a single reduced
     basis wins.  Returns (k, witness) or None when k_max is exhausted.
     A negative k_max raises ValueError.  Before any test, raises
-    BudgetExceeded when [0, min(p, m + k))^n, the box that holds every
-    staircase of the points and up to k extra points, has more than
-    max_box members.  Unless the points already have a unique basis, raises BudgetExceeded
+    BudgetExceeded when [0, min(p, m + k))^n has more than max_box
+    members: the standard sets of the points with up to k extra points,
+    the lex masks of `_LexStandardSets`, have their bits in that box.
+    Unless the points already have a unique basis, raises BudgetExceeded
     before any scan when the subsets of up to k_max points number more
     than max_sets.
 

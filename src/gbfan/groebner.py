@@ -282,6 +282,8 @@ def _fm_witness(diffs, nvars, prune):
     for i in range(nvars):
         rows.setdefault((tuple(int(j == i) for j in range(nvars)), 1), 1 << len(rows))
     for d in diffs:
+        if not any(d):  # 0.w >= 1: a tail term equal to its corner
+            return None
         rows.setdefault((tuple(d), 1), 1 << len(rows))
     inputs = len(rows)
 

@@ -164,7 +164,7 @@ def is_staircase(points):
     if isinstance(points, PointSet):
         pts = set(points.points)
     else:
-        pts = {tuple(int(c) for c in v) for v in points}
+        pts = {int_tuple(v, "exponents") for v in points}
     for v in pts:
         for j, c in enumerate(v):
             if c and (*v[:j], c - 1, *v[j + 1 :]) not in pts:

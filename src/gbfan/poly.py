@@ -15,7 +15,7 @@ from .errors import (
     ModulusMismatch,
     PolySyntaxError,
 )
-from .field import is_prime
+from .field import int_tuple, is_prime
 
 
 def divides(u, v):
@@ -49,7 +49,7 @@ class MonomialOrder:
 
 
 def _check_permutation(permutation):
-    perm = tuple(int(i) for i in permutation)
+    perm = int_tuple(permutation, "permutation")
     if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
     return perm
@@ -175,14 +175,14 @@ class Polynomial:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for exps, coeff in items:
-                e = tuple(int(x) for x in exps)
+                e = int_tuple(exps, "exponents")
                 if len(e) != n:
                     raise DimensionMismatch(
                         f"exponent {e} has length {len(e)}, expected {n}"
                     )
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e}")
-                c = (tidy.get(e, 0) + int(coeff)) % p
+                c = (tidy.get(e, 0) + int_tuple((coeff,), "coefficients")[0]) % p
                 if c:
                     tidy[e] = c
                 elif e in tidy:
@@ -290,7 +290,7 @@ class Polynomial:
 
     def evaluate(self, point):
         """Exact value at a point of Z_p^n."""
-        v = tuple(int(c) for c in point)
+        v = int_tuple(point, "coordinates")
         if len(v) != self.n:
             raise DimensionMismatch(f"point {v} has length {len(v)}, expected {self.n}")
         p = self.p
@@ -334,7 +334,7 @@ class MarkedPolynomial:
     __slots__ = ("poly", "leading")
 
     def __init__(self, poly, leading):
-        leading = tuple(int(x) for x in leading)
+        leading = int_tuple(leading, "exponents")
         if poly.terms.get(leading) != 1:
             raise ValueError(
                 f"marked term {leading} must appear with coefficient 1"

@@ -16,7 +16,7 @@ from math import comb, prod
 from operator import add
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptyPointSet, ModulusMismatch
-from .field import is_prime
+from .field import int_tuple, is_prime
 from .points import OrderIdealSet, PointSet, box_points, is_staircase
 from .poly import Polynomial
 
@@ -27,8 +27,8 @@ class LinearShift:
     __slots__ = ("p", "a", "b")
 
     def __init__(self, p, a, b):
-        a = tuple(int(x) % p for x in a)
-        b = tuple(int(x) % p for x in b)
+        a = tuple(x % p for x in int_tuple(a, "scales"))
+        b = tuple(x % p for x in int_tuple(b, "offsets"))
         if len(a) != len(b):
             raise DimensionMismatch(f"{len(a)} scales against {len(b)} offsets")
         if any(x == 0 for x in a):
@@ -306,7 +306,7 @@ def shift_orbit(p, n, points, max_sets=20000):
     Coordinates must lie in [0, p).  `max_sets` bounds the order of the
     shift group, (p(p-1))^n, as in `classify`.
     """
-    pts = [tuple(int(c) for c in v) for v in points]
+    pts = [int_tuple(v, "coordinates") for v in points]
     if any(len(v) != n for v in pts):
         raise DimensionMismatch(f"points of length other than {n}")
     for v in pts:

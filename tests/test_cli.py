@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from gbfan import (
     lac_fds,
     parse_polynomial,
 )
-from gbfan.cli import main
+from gbfan.cli import build_parser, main
 from _oracles import random_points
 
 TOY = {"p": 3, "n": 2, "points": [[0, 0], [1, 0], [2, 1]]}
@@ -440,8 +441,9 @@ def test_unique_builds_the_fan_only_for_several_basic_staircases(
 
 
 def test_fds_augment_box_budget(tmp_path, capsys, monkeypatch):
-    # five points in Z_5^7 walk a box of 5^7 members even with --max-k 0:
-    # the box budget refuses them before any walk builds its table
+    # five points in Z_5^7 have standard sets in a box of 5^7 members even
+    # with --max-k 0, the box that bounds the lex masks of their standard
+    # sets: the box budget refuses them before any box table is built
     import gbfan.points
 
     def refuse(*args):
@@ -709,3 +711,100 @@ def test_fan_and_unique_on_eleven_points_in_z2_6(tmp_path, capsys):
     code, out, _ = _run(capsys, ["unique", path])
     assert (code, json.loads(out)) == (0, {"unique": False, "gb_count": 232})
     assert time.perf_counter() - start < 20
+
+
+# each command's options beside --config, and the --format choices of the
+# commands with a rendering other than JSON
+COMMAND_OPTIONS = {
+    "gb": {"--order", "--format", "--names", "--p", "--n"},
+    "fan": {"--format", "--names", "--p", "--n", "--max-box", "--max-points"},
+    "unique": {"--p", "--n", "--max-box", "--max-points"},
+    "staircase": {"--p", "--n", "--max-sets"},
+    "shift": {"--p", "--n"},
+    "classify": {"--m", "--sample", "--p", "--n", "--seed", "--max-sets", "--max-box",
+                 "--max-points"},
+    "fds state-space": {"--format"},
+    "fds select": {"--order", "--coordinate", "--names"},
+    "fds models": {"--max-box", "--max-points"},
+    "fds augment": {"--max-k", "--p", "--n", "--max-sets", "--max-box"},
+    "lac-demo": {"--format", "--names"},
+}
+COMMAND_FORMATS = {
+    "gb": ("json", "text"),
+    "fan": ("json", "text"),
+    "fds state-space": ("json", "text", "dot"),
+    "lac-demo": ("json", "text"),
+}
+SHARED_OPTIONS = {"--config", "--format", "--names", "--seed", "--p", "--n", "--max-box",
+                  "--max-points", "--max-sets"}
+
+
+def _commands(parser, prefix=""):
+    """Each leaf command of the parser under its full name, e.g. "fds models"."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, f"{prefix} {name}".lstrip())
+            return
+    yield prefix, parser
+
+
+def _options(parser):
+    """The parser's option strings but for --help, and its --format choices."""
+    options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    formats = [tuple(a.choices) for a in parser._actions if a.dest == "format"]
+    return options, formats[0] if formats else ()
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    found = {name: _options(sp) for name, sp in _commands(build_parser())}
+    assert found == {
+        name: ({"--config", *options}, COMMAND_FORMATS.get(name, ()))
+        for name, options in COMMAND_OPTIONS.items()
+    }
+    # the nine options once shared by all 11 commands now sit on 46 of the 99 pairs
+    assert sum(len(options & SHARED_OPTIONS) for options, _ in found.values()) == 46
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "TOY", "--order", "grevlex", "--max-sets", "1"],
+    ["gb", "TOY", "--order", "grevlex", "--format", "dot"],
+    ["gb", "TOY", "--order", "grevlex", "--nam", "a,b"],
+    ["fan", "TOY", "--seed", "7"],
+    ["unique", "TOY", "--format", "text"],
+    ["staircase", "TOY", "--max-box", "1"],
+    ["shift", "TOY", "TOY", "--max-box", "1"],
+    ["classify", "--p", "2", "--n", "3", "--m", "3", "--names", "a,b,c"],
+    ["fds", "state-space", "LAC", "--p", "2"],
+    ["fds", "select", "DATA", "--order", "grevlex", "--n", "3"],
+    ["fds", "models", "DATA", "--names", "a"],
+    ["fds", "augment", "TOY", "--max-points", "1"],
+    ["lac-demo", "--max-box", "1"],
+    ["lac-demo", "--n", "3"],
+])
+def test_an_option_a_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    # argparse refuses it before the handler runs, and no option is taken
+    # by a prefix: neither --n nor --nam is read as --names
+    files = {
+        "TOY": _write(tmp_path, "toy.json", TOY),
+        "LAC": _write(tmp_path, "lac.json", lac_fds().to_json()),
+        "DATA": _write(tmp_path, "data.json", DataSet.from_fds(
+            lac_fds(), PointSet.from_json(S5)).to_json()),
+    }
+    with pytest.raises(SystemExit) as info:
+        main([files.get(arg, arg) for arg in argv])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for name, cell in re.findall(r"^\| `([a-z -]+)` \|[^|]*\| (.*) \|$", section, re.M):
+        options = re.findall(r"`(--[a-z-]+)(?: \{([a-z,]+)\})?`", cell)
+        formats = [tuple(choices.split(",")) for _, choices in options if choices]
+        table[name] = ({"--config", *(o for o, _ in options)}, formats[0] if formats else ())
+    assert table == {name: _options(sp) for name, sp in _commands(build_parser())}

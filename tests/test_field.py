@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from gbfan import (
+    DataSet,
+    LexOrder,
     LinearShift,
+    MarkedPolynomial,
     MatrixZp,
     ModulusMismatch,
     PointSet,
@@ -17,7 +20,10 @@ from gbfan import (
     apply_shift,
     evaluation_matrix,
     is_prime,
+    is_staircase,
+    lac_fds,
     rank,
+    shift_orbit,
 )
 from gbfan.field import _MR_BOUND, gf2_row_rank, modp_row_rank, modp_solve_columns
 from _oracles import span_rank
@@ -237,6 +243,33 @@ def test_matvec_refuses_non_integer_values():
         with pytest.raises(ValueError, match="values must be integers"):
             matrix.matvec(values)
     assert matrix.matvec([5]) == [2]
+
+
+_V = PointSet(3, 1, [(0,), (1,)])
+_X = Polynomial(3, 1, {(1,): 1})
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: Polynomial(3, 1, {(1.5,): 2}), "exponents"),
+    (lambda: Polynomial(3, 1, {(1,): 2.7}), "coefficients"),
+    (lambda: Polynomial(3, 1, {(1,): True}), "coefficients"),
+    (lambda: _X.evaluate((2.9,)), "coordinates"),
+    (lambda: MarkedPolynomial(_X, (1.9,)), "exponents"),
+    (lambda: LexOrder([1.5, 0.2]), "permutation"),
+    (lambda: LinearShift(3, [1.5], [0]), "scales"),
+    (lambda: LinearShift(3, [1], [0.9]), "offsets"),
+    (lambda: shift_orbit(3, 1, [(1.5,)]), "coordinates"),
+    (lambda: is_staircase([(0, 0), (True, 0)]), "exponents"),
+    (lambda: is_staircase([(0.5, 0)]), "exponents"),
+    (lambda: DataSet(_V, {0: [0.5, 1.9]}), "outputs"),
+    (lambda: DataSet(_V, {0.0: [0, 1]}), "output coordinates"),
+    (lambda: lac_fds().apply((1.7, 0, 1, 0)), "state coordinates"),
+])
+def test_library_refuses_non_integers(build, what):
+    # each site reads its integers through int_tuple: 1.5 is refused, never
+    # truncated to 1, and True is not taken for 1
+    with pytest.raises(ValueError, match=f"^{what} must be integers, got "):
+        build()
 
 
 def test_matrix_and_evaluation_above_2_31():

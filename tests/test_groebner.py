@@ -37,6 +37,7 @@ from gbfan.field import ModpRows, modp_row_rank, modp_solve_columns
 from gbfan.groebner import (
     _corners,
     _differences,
+    _fm_witness,
     _positive_weight_witness,
     _staircase_tails,
 )
@@ -714,6 +715,21 @@ def test_fm_falls_back_to_unpruned_elimination(monkeypatch):
     assert pruned == [True, False]
     assert _positive_weight_witness([(1, -1)], 2) == (2, 1)
     assert pruned[2:] == [True, False]
+
+
+@pytest.mark.parametrize("diffs", [
+    [(0, 0)],
+    [(1, -1), (0, 0)],
+    [(0, 0), (1, -2), (-1, 3)],
+])
+def test_fm_refuses_a_zero_difference(diffs):
+    # a zero difference asks for w.0 > 0: a tail term equal to its corner,
+    # which no weight orders, so there is no witness with or without pruning
+    assert _fm_witness(diffs, 2, prune=True) is None
+    assert _fm_witness(diffs, 2, prune=False) is None
+    assert _positive_weight_witness(diffs, 2) is None
+    feasible = [d for d in diffs if any(d)]
+    assert _positive_weight_witness(feasible, 2) == fm_witness_reference(feasible, 2)
 
 
 def test_fm_pair_budget(monkeypatch):
