@@ -138,11 +138,43 @@ def load_point_set(path, p=None, n=None):
     return PointSet(p, n, points)
 
 
+def _json(value, indent="\n"):
+    """`json.dumps(value, indent=2)`, byte for byte.
+
+    Lists and dicts are laid out here, and each key and scalar goes through
+    the C encoder, which `json.dumps` skips whenever it indents.  A dict
+    with a key other than a string is left to `json.dumps`, re-indented.
+    """
+    if type(value) is int:
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [repr(v) if type(v) is int else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            return json.dumps(value, indent=2).replace("\n", indent)
+        items = [json.dumps(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value)
+
+
 def _emit(payload, config):
     if config.format == "text" and isinstance(payload, str):
         print(payload)
     else:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
+
+
+def _names(config, n):
+    """The configured variable names, refused unless there is one per variable."""
+    if config.names is not None and len(config.names) != n:
+        raise ValueError(f"expected {n} variable names, got {len(config.names)}")
+    return config.names
 
 
 def _gb_json(basis, names=None):
@@ -166,23 +198,25 @@ def _gb_text(basis, names=None):
 
 def cmd_gb(args, config):
     points = load_point_set(args.points, config.p, config.n)
+    names = _names(config, points.n)
     order = parse_order_spec(args.order, points.n)
     basis = bm_reduced_gb(points, order)
     if config.format == "text":
-        _emit(_gb_text(basis, config.names), config)
+        _emit(_gb_text(basis, names), config)
     else:
-        _emit(_gb_json(basis, config.names), config)
+        _emit(_gb_json(basis, names), config)
     return 0
 
 
 def cmd_fan(args, config):
     points = load_point_set(args.points, config.p, config.n)
+    names = _names(config, points.n)
     fan = all_reduced_gbs(points, max_box=config.max_box, max_points=config.max_points)
     if config.format == "text":
         lines = [f"{len(fan)} reduced bases"]
         for entry in fan.entries:
             lines.append("witness weight " + ",".join(str(w) for w in entry.witness_weight))
-            lines.append(_gb_text(entry.basis, config.names))
+            lines.append(_gb_text(entry.basis, names))
         _emit("\n".join(lines), config)
     else:
         _emit(fan.to_json(), config)
@@ -272,13 +306,14 @@ def cmd_fds_state_space(args, config):
 
 def cmd_fds_select(args, config):
     dataset = DataSet.from_json(json.loads(Path(args.data).read_text()))
+    names = _names(config, dataset.n)
     order = parse_order_spec(args.order, dataset.n)
     basis = bm_reduced_gb(dataset.inputs, order)
     coords = (
         [args.coordinate - 1] if args.coordinate is not None else dataset.coordinates()
     )
     models = {
-        str(j + 1): format_polynomial(model, basis.order, config.names)
+        str(j + 1): format_polynomial(model, basis.order, names)
         for j, model in zip(
             coords, select_models(dataset, basis.standard_monomials, coords)
         )
@@ -320,7 +355,7 @@ def cmd_fds_augment(args, config):
 
 def cmd_lac_demo(args, config):
     system = lac_fds()
-    names = config.names or ("M", "L", "Le", "Ge")
+    names = _names(config, system.n) or ("M", "L", "Le", "Ge")
     graph = state_space(system)
     components = weak_components(graph)
     bases = []
@@ -388,7 +423,7 @@ def _command(sub, name, help, func, *flags, formats=()):
     """A subcommand with --config, --format over `formats` when it renders
     more than JSON, and the named shared options, spelled out in full."""
     parser = sub.add_parser(name, help=help, allow_abbrev=False)
-    parser.set_defaults(func=func)
+    parser.set_defaults(func=func, formats=formats)
     parser.add_argument("--config", help="JSON file with RunConfig fields")
     if formats:
         parser.add_argument("--format", choices=formats, default=None)
@@ -467,7 +502,14 @@ def _build_config(args):
     }
     if getattr(args, "names", None):
         overrides["names"] = tuple(args.names.split(","))
-    return replace(config, **overrides) if overrides else config
+    config = replace(config, **overrides) if overrides else config
+    # a command without --format does not read the key
+    if args.formats and config.format not in args.formats:
+        raise ValueError(
+            f"format {config.format} is not one this command renders: "
+            + ", ".join(args.formats)
+        )
+    return config
 
 
 def main(argv=None):

@@ -289,6 +289,8 @@ class DataSet:
         tidy = {}
         for key, values in outputs.items():
             (j,) = int_tuple((key,), "output coordinates")
+            if not 0 <= j < self.n:
+                raise ValueError(f"output coordinate {j} is not in [0, {self.n})")
             vals = int_tuple(values, "outputs")
             if len(vals) != len(inputs):
                 raise DimensionMismatch(

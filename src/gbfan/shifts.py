@@ -13,7 +13,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, prod
-from operator import add
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptyPointSet, ModulusMismatch
 from .field import int_tuple, is_prime
@@ -263,31 +262,89 @@ class ClassificationReport:
         return data
 
 
-def _offset_tables(p, n):
-    """Per coordinate j, one table per scale/offset pair (a, b) of the shift
-    group: entry c is ((a c + b) mod p) * p^(n-1-j), the share of coordinate
-    value c in the image's box index.  The tables hold n * p(p-1) * p
-    entries, whatever the group order."""
-    pairs = [(a, b) for a in range(1, p) for b in range(p)]
-    return [
-        [tuple((a * c + b) % p * p ** (n - 1 - j) for c in range(p)) for a, b in pairs]
-        for j in range(n)
-    ]
+def _coordinate_masks(p, n):
+    """Per coordinate j: the width p^(n-1-j) of a digit's block of indices,
+    the p masks of the box indices whose j-th digit is c, and the block
+    moves of each translation x_j -> x_j + b, b = 1..p-1.
 
-
-def _index_orbit(points, tables):
-    """Every image of a point set under the shift group, as sorted tuples of
-    indices into `box_points(p, n)`, in ascending order.
-
-    A shift's image of a point has index sum_j T_j[(a_j, b_j)][v_j].  The
-    images are summed one coordinate at a time, and pairs that move this
-    set's column alike are taken once.
+    A subset of the box `[0, p)^n` is one int, with bit N-1-i standing for
+    lex index i (N = p^n), so a larger mask is a lexicographically smaller
+    sorted subset.  Digit c of coordinate j holds a block of `width` bits
+    in every period of p * width, so its mask is one block times the
+    period's repeat pattern.  A translation carries the digits below
+    p - b up by b, a right shift by b * width, and the others down by
+    p - b.
     """
-    images = [(0,) * len(points)]
-    for column, table in zip(zip(*points), tables):
-        moves = {tuple(t[c] for c in column) for t in table}
-        images = [tuple(map(add, image, move)) for image in images for move in moves]
-    return sorted({tuple(sorted(image)) for image in images})
+    size = p**n
+    coords = []
+    for j in range(n):
+        width = p ** (n - 1 - j)
+        repeat = ((1 << size) - 1) // ((1 << (p * width)) - 1)
+        block = (1 << width) - 1
+        masks = [(block << ((p - 1 - c) * width)) * repeat for c in range(p)]
+        translations = [
+            (sum(masks[: p - b]), b * width, sum(masks[p - b :]), (p - b) * width)
+            for b in range(1, p)
+        ]
+        coords.append((width, masks, translations))
+    return coords
+
+
+def _move(mask, moves):
+    """The image of a subset mask under a bit permutation of the box, given
+    as block moves: (digit mask, shift of its indices), the masks disjoint."""
+    return sum([(mask & m) >> d if d >= 0 else (mask & m) << -d for m, d in moves])
+
+
+def _mask_orbit(mask, coords, p):
+    """Every image of the subset `mask` under the shift group, as a list of
+    distinct masks.
+
+    Images are built one coordinate at a time: x_j -> a x_j + b is the
+    scaling by a, then the translation by b.  The scaling moves each index
+    with digit c by (a c mod p - c) * width, one masked block move per
+    digit the set holds; it only matters on a column of two values or
+    more, since a translation moves a one-value column anywhere.
+    """
+    images = [mask]
+    for width, masks, translations in coords:
+        # Z_2 has no scale but 1
+        held = [c for c in range(p) if mask & masks[c]] if p > 2 else ()
+        if len(held) > 1:
+            parts = [masks[c] for c in held]
+            scaled = list(images)
+            for a in range(2, p):
+                shifts = [(a * c % p - c) * width for c in held]
+                moves = list(zip(parts, shifts))
+                scaled += [_move(x, moves) for x in images]
+            images = list(set(scaled))
+        grown = set(images)
+        for low, up, high, down in translations:
+            grown.update([(x & low) >> up | (x & high) << down for x in images])
+        images = list(grown)
+    return images
+
+
+def _points_mask(points, p, size):
+    """The mask of distinct points of [0, p)^n in a box of `size` points."""
+    mask = 0
+    for v in points:
+        index = 0
+        for c in v:
+            index = index * p + c
+        mask |= 1 << (size - 1 - index)
+    return mask
+
+
+def _mask_points(mask, box):
+    """The sorted points of a subset mask."""
+    size = len(box)
+    out = []
+    while mask:
+        bit = mask.bit_length()
+        out.append(box[size - bit])
+        mask ^= 1 << (bit - 1)
+    return tuple(out)
 
 
 def _check_group_order(p, n, max_sets):
@@ -303,8 +360,9 @@ def _check_group_order(p, n, max_sets):
 def shift_orbit(p, n, points, max_sets=20000):
     """Every image of a point set under the shift group, canonically sorted.
 
-    Coordinates must lie in [0, p).  `max_sets` bounds the order of the
-    shift group, (p(p-1))^n, as in `classify`.
+    Coordinates must lie in [0, p) and no point may repeat.  `max_sets`
+    bounds the order of the shift group, (p(p-1))^n, as in `classify`.
+    The orbit is built on bit masks of the box, as in `classify`.
     """
     pts = [int_tuple(v, "coordinates") for v in points]
     if any(len(v) != n for v in pts):
@@ -312,11 +370,13 @@ def shift_orbit(p, n, points, max_sets=20000):
     for v in pts:
         if any(c < 0 or c >= p for c in v):
             raise ValueError(f"coordinates of {v} must lie in [0, {p})")
+    if len(set(pts)) != len(pts):
+        raise ValueError("a point set may not repeat a point")
     _check_group_order(p, n, max_sets)
     box = box_points(p, n)
-    return [
-        tuple(box[i] for i in image) for image in _index_orbit(pts, _offset_tables(p, n))
-    ]
+    size = len(box)
+    orbit = _mask_orbit(_points_mask(pts, p, size), _coordinate_masks(p, n), p)
+    return [_mask_points(image, box) for image in sorted(orbit, reverse=True)]
 
 
 def _unrank_combination(index, items, m):
@@ -345,15 +405,22 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
     representative.  With sample=k, k subsets are drawn without
     replacement using the seed and only the drawn sets are tallied.
 
-    Subsets are sorted tuples of indices into `box_points(p, n)`.  The
-    basis count is shared by every class in one orbit of the group
+    Subsets are bit masks of the box (see `_coordinate_masks`), and orbits are
+    built by `_mask_orbit`.  Translations carry any point to the origin,
+    so every class has members that hold the origin, its lex-smallest
+    among them.  An exhaustive sweep therefore visits only the
+    C(p^n - 1, m - 1) subsets that hold the origin, a drawn subset is
+    first translated so that its first point sits there, and only members
+    that hold the origin are registered.
+
+    The basis count is shared by every class in one orbit of the group
     generated by shifts and coordinate permutations: a permutation of the
     variables carries the vanishing ideal of V onto that of the permuted
     set, and its fan onto the permuted fan.  So one fan is counted, by
     `fan_size`, per such orbit, whose shift classes are reached from the
-    fan's class by adjacent coordinate swaps.  `max_sets` bounds the population of an
-    exhaustive sweep, the shift group's order (each new class costs that
-    many images) and the subsets held for sharing.
+    fan's class by adjacent coordinate swaps.  `max_sets` bounds the
+    population of an exhaustive sweep, the shift group's order (each new
+    class costs that many images) and the members registered for sharing.
     """
     from .groebner import fan_size
 
@@ -363,71 +430,95 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
         raise ValueError(f"sample size must be positive: {sample}")
     _check_group_order(p, n, max_sets)
     box = box_points(p, n)
-    population = comb(len(box), m)
-    if sample is None:
-        if population > max_sets:
-            raise BudgetExceeded(
-                f"{population} subsets exceed the budget {max_sets}; "
-                "raise max_sets or use sampling"
-            )
-        subsets = itertools.combinations(range(len(box)), m)
-        total = population
-        mode = "exhaustive"
-    else:
-        k = min(sample, population)
-        rng = random.Random(seed)
-        ranks = sorted(rng.sample(range(population), k))
-        subsets = (_unrank_combination(r, range(len(box)), m) for r in ranks)
-        total = k
-        mode = "sample"
+    size = len(box)
+    population = comb(size, m)
+    if sample is None and population > max_sets:
+        raise BudgetExceeded(
+            f"{population} subsets exceed the budget {max_sets}; "
+            "raise max_sets or use sampling"
+        )
+    if m == 0:
+        raise EmptyPointSet("empty point set")
 
     budget = fan_budget or {}
-    tables = _offset_tables(p, n)
-    # Swapping coordinates j and j+1 of point v moves its index by
-    # (v[j+1] - v[j]) * steps[j].
-    steps = [(p - 1) * p ** (n - 2 - j) for j in range(n - 1)]
+    coords = _coordinate_masks(p, n)
+    origin = 1 << (size - 1)
+    # Swapping coordinates j and j+1 of a point with digits c and c + e
+    # there moves its index by e * (p - 1) * p^(n-2-j).
+    swaps = []
+    for j in range(n - 1):
+        left, right = coords[j][1], coords[j + 1][1]
+        swaps.append([
+            (
+                sum(left[c] & right[c + e] for c in range(p) if 0 <= c + e < p),
+                e * (p - 1) * p ** (n - 2 - j),
+            )
+            for e in range(1 - p, p)
+        ])
     class_of = {}
+    registered = []
 
-    def register(orbit, gb_count):
+    def register(orbit, stored, gb_count):
         entry = ShiftClass(
-            representative=tuple(box[i] for i in orbit[0]),
+            representative=_mask_points(max(stored), box),
             size=len(orbit),
             gb_count=gb_count,
             unique=gb_count == 1,
         )
-        for member in orbit:
-            class_of[member] = entry
+        registered.append(entry)
+        class_of.update(dict.fromkeys(stored, entry))
         return entry
 
     def share(rep, gb_count):
         """Register, with the same count, every shift class reached from the
         class of rep by adjacent swaps, while the registry holds at most
-        max_sets subsets."""
+        max_sets members."""
         pending = [rep]
         while pending:
             rep = pending.pop()
-            for j, step in enumerate(steps):
-                image = tuple(sorted(i + (box[i][j + 1] - box[i][j]) * step for i in rep))
+            for swap in swaps:
+                image = _move(rep, swap)
                 if image in class_of:
                     continue
-                reached = _index_orbit([box[i] for i in image], tables)
-                if len(class_of) + len(reached) > max_sets:
+                reached = _mask_orbit(image, coords, p)
+                stored = [x for x in reached if x >= origin]
+                if len(class_of) + len(stored) > max_sets:
                     return
-                register(reached, gb_count)
-                pending.append(reached[0])
+                register(reached, stored, gb_count)
+                pending.append(max(stored))
 
-    hit = set()
-    unique_sets = 0
-    for subset in subsets:
-        entry = class_of.get(subset)
+    def lookup(mask):
+        entry = class_of.get(mask)
         if entry is None:
-            orbit = _index_orbit([box[i] for i in subset], tables)
-            count = fan_size(PointSet(p, n, [box[i] for i in orbit[0]]), **budget)
-            entry = register(orbit, count)
-            share(orbit[0], entry.gb_count)
-        hit.add(entry)
-        if entry.unique:
-            unique_sets += 1
+            orbit = _mask_orbit(mask, coords, p)
+            stored = [x for x in orbit if x >= origin]
+            rep = max(stored)
+            count = fan_size(PointSet(p, n, _mask_points(rep, box)), **budget)
+            entry = register(orbit, stored, count)
+            share(rep, count)
+        return entry
+
+    if sample is None:
+        # every class holds the origin, so the sweep meets each class
+        # registered on the way, shared ones included
+        bits = [origin >> i for i in range(1, size)]
+        for c in itertools.combinations(bits, m - 1):
+            lookup(sum(c, origin))
+        hit = registered
+        unique_sets = sum(c.size for c in hit if c.unique)
+        total = population
+        mode = "exhaustive"
+    else:
+        total = min(sample, population)
+        rng = random.Random(seed)
+        drawn = []
+        for r in sorted(rng.sample(range(population), total)):
+            subset = _unrank_combination(r, box, m)
+            moved = [tuple((x - y) % p for x, y in zip(v, subset[0])) for v in subset]
+            drawn.append(lookup(_points_mask(moved, p, size)))
+        hit = set(drawn)
+        unique_sets = sum(entry.unique for entry in drawn)
+        mode = "sample"
 
     classes = sorted(hit, key=lambda c: c.representative)
     return ClassificationReport(

@@ -458,6 +458,60 @@ def orbit_classify_reference(p, n, m, sample=None, seed=0, max_sets=20000, fan_b
     )
 
 
+def burnside_class_count(p, n, m):
+    """The number of shift classes of m-subsets of Z_p^n, by Burnside's lemma.
+
+    A subset is fixed by a shift g exactly when it is a union of cycles of
+    g, so g fixes [t^m] of the product over its cycles of (1 + t^length)
+    subsets.  A shift acts coordinate by coordinate, and on a product a
+    cycle of length k and one of length l give gcd(k, l) cycles of length
+    lcm(k, l).  So only cycle types are combined; no orbit is listed.
+    """
+
+    def cycle_type(perm):
+        seen = set()
+        lengths = {}
+        for start in range(len(perm)):
+            length = 0
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = perm[x]
+                length += 1
+            if length:
+                lengths[length] = lengths.get(length, 0) + 1
+        return frozenset(lengths.items())
+
+    per_coordinate = {}
+    for a in range(1, p):
+        for b in range(p):
+            key = cycle_type([(a * x + b) % p for x in range(p)])
+            per_coordinate[key] = per_coordinate.get(key, 0) + 1
+    types = {frozenset({(1, 1)}): 1}  # Z_p^0 is one point
+    for _ in range(n):
+        combined = {}
+        for left, count in types.items():
+            for right, times in per_coordinate.items():
+                lengths = {}
+                for k, u in left:
+                    for l, v in right:
+                        lengths[lcm(k, l)] = lengths.get(lcm(k, l), 0) + u * v * gcd(k, l)
+                key = frozenset(lengths.items())
+                combined[key] = combined.get(key, 0) + count * times
+        types = combined
+    fixed = 0
+    for cycles, count in types.items():
+        coeffs = [1] + [0] * m
+        for length, times in cycles:
+            for _ in range(times):
+                for d in range(m, length - 1, -1):
+                    coeffs[d] += coeffs[d - length]
+        fixed += count * coeffs[m]
+    order = (p * (p - 1)) ** n
+    assert fixed % order == 0
+    return fixed // order
+
+
 def corners_reference(members, n):
     """Minimal exponent vectors outside a staircase.
 

@@ -230,6 +230,27 @@ def test_classify_deterministic_output(capsys):
     assert out1 == out2
 
 
+def _classify_report(p, n, m, classes, unique_sets, total):
+    return {"p": p, "n": n, "m": m, "total": total, "classes": classes,
+            "unique_sets": unique_sets, "unique_fraction": unique_sets / total if total else 0.0}
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--m", "0"], 2, None, "error: empty point set\n"),
+    (["--m", "0", "--sample", "3"], 2, None, "error: empty point set\n"),
+    (["--m", "-1"], 2, None, "error: k must be a non-negative integer\n"),
+    (["--m", "9"], 0, _classify_report(2, 3, 9, [], 0, 0), ""),
+    (["--n", "0", "--m", "1"], 0, _classify_report(
+        2, 0, 1, [{"rep": [[]], "size": 1, "gb_count": 1, "unique": True}], 1, 1), ""),
+    (["--p", "4", "--m", "2"], 2, None, "error: p must be prime: 4\n"),
+    (["--m", "3", "--sample", "0"], 2, None, "error: sample size must be positive: 0\n"),
+])
+def test_classify_edge_cases(capsys, argv, code, out, err):
+    # later options override the defaults p = 2, n = 3
+    got = _run(capsys, ["classify", "--p", "2", "--n", "3", *argv])
+    assert got == (code, "" if out is None else json.dumps(out, indent=2) + "\n", err)
+
+
 def test_csv_points(tmp_path, capsys):
     csv = tmp_path / "points.csv"
     csv.write_text("0,0\n1,0\n2,1\n")
@@ -250,6 +271,36 @@ def test_config_file(tmp_path, capsys):
     code, out, _ = _run(capsys, ["gb", toy, "--order", "weight:1,1", "--config", str(cfg)])
     assert code == 0
     assert "y^2 + 2*y" in out
+
+
+@pytest.mark.parametrize("names", ["a", "a,b,c"])
+def test_names_must_match_the_variable_count(tmp_path, capsys, names):
+    toy = _write(tmp_path, "toy.json", TOY)
+    data = _write(tmp_path, "data.json", DataSet.from_fds(lac_fds(), PointSet.from_json(S5)).to_json())
+    count = len(names.split(","))
+    for argv, n in [
+        (["gb", toy, "--order", "grevlex"], 2),
+        (["gb", toy, "--order", "grevlex", "--format", "text"], 2),
+        (["fan", toy, "--format", "text"], 2),
+        (["fds", "select", data, "--order", "grevlex"], 4),
+        (["lac-demo"], 4),
+    ]:
+        _one_line_error(*_run(capsys, [*argv, "--names", names]),
+                        f"expected {n} variable names, got {count}")
+
+
+def test_config_format_the_command_cannot_render_exits_2(tmp_path, capsys):
+    toy = _write(tmp_path, "toy.json", TOY)
+    dot = _write(tmp_path, "dot.json", {"format": "dot"})
+    for argv in (["gb", toy, "--order", "grevlex"], ["fan", toy], ["lac-demo"]):
+        _one_line_error(*_run(capsys, [*argv, "--config", dot]),
+                        "format dot is not one this command renders: json, text")
+    # fds state-space renders DOT; unique has no --format and reads no format key
+    lac = _write(tmp_path, "lac.json", lac_fds().to_json())
+    code, out, _ = _run(capsys, ["fds", "state-space", lac, "--config", dot])
+    assert code == 0 and out.startswith("digraph")
+    code, out, _ = _run(capsys, ["unique", toy, "--config", dot])
+    assert code == 0 and json.loads(out)["unique"] is False
 
 
 def test_fds_state_space_dot(tmp_path, capsys):
@@ -491,6 +542,50 @@ def test_fan_budget_sizes_the_searched_box(tmp_path, capsys):
     code, _, err = _run(capsys, ["fan", _write(tmp_path, "three.json", three)])
     assert code == 3
     assert "box size 81 exceeds the budget 64" in err
+
+
+def test_json_writer_matches_json_dumps(tmp_path, monkeypatch):
+    import gbfan.cli
+
+    files = {
+        "TOY": _write(tmp_path, "toy.json", TOY),
+        "S5": _write(tmp_path, "s5.json", S5),
+        "STAIR": _write(tmp_path, "stair.json", {"p": 3, "n": 2, "points": [[0, 0], [1, 0]]}),
+        "ORIGIN": _write(tmp_path, "origin.json", {"p": 3, "n": 0, "points": [[]]}),
+        "LAC": _write(tmp_path, "lac.json", lac_fds().to_json()),
+        "DATA": _write(tmp_path, "data.json", DataSet.from_fds(
+            lac_fds(), PointSet.from_json(S5)).to_json()),
+    }
+    payloads = []
+    monkeypatch.setattr(gbfan.cli, "_emit", lambda payload, config: payloads.append(payload))
+    for argv in [
+        ["gb", "TOY", "--order", "grevlex", "--names", "\u00e9,\u263a"],
+        ["fan", "TOY"],
+        ["fan", "ORIGIN"],
+        ["unique", "S5"],
+        ["staircase", "STAIR"],
+        ["staircase", "S5"],
+        ["shift", "STAIR", "STAIR"],
+        ["shift", "STAIR", "TOY"],
+        ["classify", "--p", "2", "--n", "3", "--m", "3"],
+        ["classify", "--p", "3", "--n", "2", "--m", "4", "--sample", "7", "--seed", "2"],
+        ["classify", "--p", "2", "--n", "3", "--m", "9"],
+        ["fds", "state-space", "LAC"],
+        ["fds", "select", "DATA", "--order", "grevlex"],
+        ["fds", "models", "DATA"],
+        ["fds", "augment", "STAIR"],
+        ["fds", "augment", "TOY", "--max-k", "0"],
+        ["lac-demo"],
+    ]:
+        assert main([files.get(arg, arg) for arg in argv]) == 0, argv
+    assert len(payloads) == 17
+    payloads += [
+        [], {}, [[]], {"": [{}]}, "\u00e9\n\"\u2603", {"\u00fc": [-3, 10**30, 0.1, 1e300]},
+        [True, False, None, float("inf"), 2.5], (1, (2, ())), {1: [1, {2: "x"}], "k": None},
+        {"a": {"b": [{1.5: True}]}},
+    ]
+    for payload in payloads:
+        assert gbfan.cli._json(payload) == json.dumps(payload, indent=2), payload
 
 
 def test_invalid_config_rejected(tmp_path, capsys):

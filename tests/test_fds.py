@@ -418,6 +418,12 @@ def test_dataset_round_trip_and_validation():
         bad = dict(data.to_json(), outputs={key: [0] * len(S5)})
         with pytest.raises(ValueError, match="not a coordinate"):
             DataSet.from_json(bad)
+    # the library keys coordinates 0..n-1 and refuses any other key
+    for key in (4, 5, -1):
+        with pytest.raises(ValueError, match=rf"output coordinate {key} is not in \[0, 4\)"):
+            DataSet(S5, {key: [0] * len(S5)})
+    with pytest.raises(ValueError, match=r"not in \[0, 1\)"):
+        DataSet(PointSet(3, 1, [(0,), (1,)]), {5: [0, 1], -1: [1, 1]})
     # outputs are refused outside [0, p), as coordinates are, not reduced
     for value in (2, 5, -1):
         with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):

@@ -35,6 +35,7 @@ from _oracles import (
     all_shift_list,
     brute_force_detect,
     brute_force_staircase_shift,
+    burnside_class_count,
     orbit_classify_reference,
     random_point_set,
     random_shift,
@@ -444,15 +445,63 @@ def test_classify_computes_one_fan_per_orbit_with_permutations(monkeypatch):
             assert len(calls) == len(orbits), (p, n, m)
 
 
+def _apply_point_orbit(p, n, points):
+    return sorted({tuple(sorted(s.apply_point(v) for v in points)) for s in all_shift_list(p, n)})
+
+
 def test_shift_orbit_matches_apply_point_orbits():
     rng = random.Random(47)
     for _ in range(40):
         p, n = rng.choice([(2, 3), (3, 2), (5, 2), (3, 3), (7, 1)])
         V = random_point_set(rng, p, n, max_size=5)
-        expected = sorted(
-            {tuple(sorted(s.apply_point(v) for v in V)) for s in all_shift_list(p, n)}
-        )
-        assert shift_orbit(p, n, V.points) == expected
+        assert shift_orbit(p, n, V.points) == _apply_point_orbit(p, n, V.points)
+    # the whole box, the empty set, the one point of Z_p^0, and sets that
+    # miss the origin, whose lex-first image holds it
+    for p, n in [(2, 3), (3, 2), (5, 1)]:
+        assert shift_orbit(p, n, box_points(p, n)) == [tuple(box_points(p, n))]
+    assert shift_orbit(3, 2, []) == [()]
+    assert shift_orbit(2, 0, [()]) == [((),)] == _apply_point_orbit(2, 0, [()])
+    for _ in range(30):
+        p, n = rng.choice([(2, 4), (3, 2), (3, 3), (5, 2)])
+        V = rng.sample(box_points(p, n)[1:], rng.randint(1, 5))
+        orbit = shift_orbit(p, n, V)
+        assert orbit == _apply_point_orbit(p, n, V)
+        assert orbit[0][0] == (0,) * n
+
+
+def test_shift_orbit_refuses_a_repeated_point():
+    with pytest.raises(ValueError, match="repeat"):
+        shift_orbit(3, 1, [(1,), (1,)])
+
+
+@pytest.mark.parametrize("p, n, top", [(2, 2, 4), (2, 3, 8), (2, 4, 16), (3, 2, 9),
+                                       (5, 2, 5), (3, 3, 4), (7, 2, 3), (2, 5, 3)])
+def test_class_count_is_burnside_count(p, n, top):
+    for m in range(top + 1):
+        if m == 0:
+            with pytest.raises(EmptyPointSet):
+                classify(p, n, m)
+            continue
+        report = classify(p, n, m, max_sets=10**5)
+        assert len(report.classes) == burnside_class_count(p, n, m), (p, n, m)
+        assert sum(c.size for c in report.classes) == report.total
+
+
+def test_burnside_count_reproduces_the_pinned_sweeps():
+    assert [burnside_class_count(*shape) for shape in
+            [(2, 4, 5), (2, 4, 6), (3, 3, 5), (2, 5, 5), (2, 5, 6)]] == [273, 553, 460, 6293, 28861]
+    assert burnside_class_count(2, 3, 9) == 0 and burnside_class_count(2, 0, 1) == 1
+
+
+@pytest.mark.parametrize("p, n, m, classes, unique, unique_sets", [
+    (3, 3, 5, 460, 24, 2673),
+    (2, 5, 6, 28861, 426, 13152),
+])
+def test_exhaustive_sweeps_beyond_the_default_budget(p, n, m, classes, unique, unique_sets):
+    report = classify(p, n, m, max_sets=10**6)
+    assert len(report.classes) == classes == burnside_class_count(p, n, m)
+    assert sum(c.unique for c in report.classes) == unique
+    assert report.unique_sets == unique_sets
 
 
 def test_shift_orbit_budget_and_range():
