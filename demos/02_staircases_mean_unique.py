@@ -41,8 +41,8 @@ for g in basis.generators:
 W = PointSet(2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])
 print("\nchain-like set", W.points)
 print("staircase shift found:", find_staircase_shift(W))
-unique, basic_count = is_unique_gb(W)
-print("unique basis:", unique, "| basic staircases:", basic_count)
+unique, count = is_unique_gb(W)
+print("unique basis:", unique, "| reduced bases:", count)
 basis = bm_reduced_gb(W, GrevLexOrder())
 for g in basis.generators:
     print("  ", format_polynomial(g.poly, basis.order, ("x", "y", "z")))

@@ -28,11 +28,10 @@ from .fds import (
 from .groebner import (
     all_reduced_gbs,
     bm_reduced_gb,
-    check_fan_budget,
     fan_size,
     transport_gb,
 )
-from .points import PointSet, lex_unique, require, require_object
+from .points import PointSet, require, require_object
 from .poly import (
     GrevLexOrder,
     GrLexOrder,
@@ -219,18 +218,13 @@ def cmd_fan(args, config):
             lines.append(_gb_text(entry.basis, names))
         _emit("\n".join(lines), config)
     else:
-        _emit(fan.to_json(), config)
+        _emit(fan.to_json(names), config)
     return 0
 
 
 def cmd_unique(args, config):
     points = load_point_set(args.points, config.p, config.n)
-    check_fan_budget(points, config.max_box, config.max_points)
-    # the n lex orders decide; only a set with several bases counts its fan
-    if lex_unique(points):
-        count = 1
-    else:
-        count = fan_size(points, max_box=config.max_box, max_points=config.max_points)
+    count = fan_size(points, max_box=config.max_box, max_points=config.max_points)
     _emit({"unique": count == 1, "gb_count": count}, config)
     return 0
 

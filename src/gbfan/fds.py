@@ -21,6 +21,7 @@ from .groebner import _coherent_staircases, check_fan_budget
 from .field import int_tuple, modp_solve_columns
 from .points import (
     PointSet,
+    _exponent_list,
     _LexStandardSets,
     box_points,
     evaluation_rows,
@@ -355,11 +356,7 @@ def select_models(dataset, staircase, coordinates):
     for j in coordinates:
         if j not in dataset.outputs:
             raise KeyError(f"no outputs for coordinate {j}")
-    mons = (
-        list(staircase.points)
-        if isinstance(staircase, PointSet)
-        else [tuple(u) for u in staircase]
-    )
+    mons = _exponent_list(staircase, dataset.n)
     p = dataset.p
     rows = evaluation_rows(mons, dataset.inputs.points, p)
     if len(mons) == len(rows):

@@ -40,7 +40,6 @@ from .poly import (
     WeightOrder,
     divides,
     format_polynomial,
-    normal_form,
 )
 
 
@@ -84,11 +83,11 @@ class FanEntry:
     basis: ReducedGroebnerBasis
     witness_weight: tuple
 
-    def to_json(self):
+    def to_json(self, names=None):
         return {
             "sm": [list(u) for u in self.standard_monomials.points],
             "gb": [
-                format_polynomial(g.poly, self.basis.order)
+                format_polynomial(g.poly, self.basis.order, names)
                 for g in self.basis.generators
             ],
             "witness_weight": list(self.witness_weight),
@@ -113,10 +112,10 @@ class AlgebraicFan:
     def staircases(self):
         return [e.standard_monomials for e in self.entries]
 
-    def to_json(self):
+    def to_json(self, names=None):
         return {
             "points": self.points.to_json(),
-            "entries": [e.to_json() for e in self.entries],
+            "entries": [e.to_json(names) for e in self.entries],
         }
 
     def __repr__(self):
@@ -482,20 +481,17 @@ def _staircase_tails(points, targets=()):
 def is_unique_gb(points):
     """Whether the vanishing ideal has a single reduced basis.
 
-    Returns (unique, basic staircase count).  The n lex orders decide
-    (`points.lex_unique`): the points are unique exactly when those orders
-    give one standard set, and then exactly one staircase of |V| monomials
-    has an invertible evaluation matrix, so (True, 1) comes with no walk.
-    For points that are not unique, the basic staircases are counted by
-    the fan's walk with its push and pop alone, building no tails.
+    Returns (unique, number of reduced bases).  The n lex orders decide
+    (`points.lex_unique`), with no budget: the points are unique exactly
+    when those orders give one standard set, and then (True, 1) comes with
+    no walk.  Points that are not unique have their bases counted by
+    `fan_size`, under its default budgets.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
     if lex_unique(points):
         return True, 1
-    push, pop, *_ = _echelon_walk(points)
-    walk = walk_staircases(points.p, points.n, len(points), push, pop)
-    return False, sum(1 for _ in walk)
+    return False, fan_size(points)
 
 
 def check_fan_budget(points, max_box=64, max_points=16):
@@ -536,10 +532,15 @@ def _coherent_staircases(points, targets=()):
 def fan_size(points, max_box=64, max_points=16):
     """The number of distinct reduced Groebner bases of the vanishing ideal.
 
-    Counts the staircases `all_reduced_gbs` would list, under the same
-    budgets, without building their bases.
+    The one count of bases, which `is_unique_gb`, `gbfan unique` and
+    `classify` read.  After the budgets of `all_reduced_gbs`, a set that
+    the n lex orders decide unique (`points.lex_unique`) has one basis and
+    no walk; any other set has the staircases `all_reduced_gbs` would list
+    counted, without building their bases.
     """
     check_fan_budget(points, max_box, max_points)
+    if lex_unique(points):
+        return 1
     return sum(1 for _ in _coherent_staircases(points))
 
 
@@ -604,8 +605,16 @@ def transport_gb(basis, shift):
 
     A polynomial vanishes on the shifted points exactly when its
     composition with the shift vanishes on the originals, so each
-    generator passes through the inverse substitution, is rescaled monic
-    at its preserved leading term, and the tails are inter-reduced.
+    generator passes through the inverse substitution and is rescaled
+    monic at its preserved leading term.  No inter-reduction is needed.
+    A generator is c - sum a_t t, with every t in the staircase S and
+    t < c.  Substituting x_i -> a_i x_i + b_i sends c to a nonzero multiple
+    of c plus proper divisors of c, and each t to divisors of t.  Every
+    proper divisor of a corner lies in S, every divisor of t lies in S,
+    and all of them lie below c; no t is a multiple of c, since t lies in
+    S.  So the image, made monic at c, is c minus a combination of S that
+    vanishes with it on the shifted points: c minus its normal form, the
+    reduced generator of the shifted ideal, whose staircase is again S.
     """
     from .shifts import apply_shift_to_polynomial, invert_shift
 
@@ -619,14 +628,9 @@ def transport_gb(basis, shift):
         if lc != 1:
             f = f * pow(lc, -1, f.p)
         moved.append(MarkedPolynomial(f, g.leading))
-    reduced = []
-    for i, g in enumerate(moved):
-        others = moved[:i] + moved[i + 1 :]
-        r = normal_form(g.poly, others, basis.order)
-        reduced.append(MarkedPolynomial(r, g.leading))
     return ReducedGroebnerBasis(
         order=basis.order,
-        generators=reduced,
+        generators=moved,
         standard_monomials=basis.standard_monomials,
     )
 

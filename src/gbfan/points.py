@@ -172,10 +172,21 @@ def is_staircase(points):
     return True
 
 
-def _exponent_list(monomials):
-    if isinstance(monomials, PointSet):
-        return list(monomials.points)
-    return [int_tuple(u, "exponents") for u in monomials]
+def _exponent_list(monomials, n):
+    """The monomials as tuples of n exponents, each a nonnegative int.
+
+    Raises DimensionMismatch for a length other than n, and ValueError for
+    a negative exponent, a float or a bool.  With n None, the first
+    monomial fixes the length.
+    """
+    mons = [int_tuple(u, "exponents") for u in monomials]
+    for u in mons:
+        n = len(u) if n is None else n
+        if len(u) != n:
+            raise DimensionMismatch(f"monomial {u} has {len(u)} exponents, expected {n}")
+        if any(e < 0 for e in u):
+            raise ValueError(f"exponents must be nonnegative, got {list(u)!r}")
+    return mons
 
 
 def evaluation_matrix(monomials, points, p=None):
@@ -184,20 +195,19 @@ def evaluation_matrix(monomials, points, p=None):
     A PointSet argument contributes its canonical order; a plain sequence
     of points is used exactly in the order given.
     """
-    mons = _exponent_list(monomials)
     if isinstance(points, PointSet):
-        pts = list(points.points)
-        p = points.p
+        pts, p, n = list(points.points), points.p, points.n
     else:
         pts = [int_tuple(v, "coordinates") for v in points]
         if p is None and isinstance(monomials, PointSet):
             p = monomials.p
+        dims = {len(v) for v in pts}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"mixed ambient dimensions {sorted(dims)}")
+        n = dims.pop() if dims else None
     if p is None:
         raise ValueError("p is required when neither argument is a PointSet")
-    dims = {len(u) for u in mons} | {len(v) for v in pts}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed ambient dimensions {sorted(dims)}")
-    return MatrixZp(p, evaluation_rows(mons, pts, p))
+    return MatrixZp(p, evaluation_rows(_exponent_list(monomials, n), pts, p))
 
 
 def evaluation_rows(monomials, points, p):
@@ -211,7 +221,7 @@ def is_basic(staircase, points):
     True exactly when the evaluation matrix is square and invertible.
     Over Z_2 each row is packed into a bit mask for `gf2_row_rank`.
     """
-    mons = _exponent_list(staircase)
+    mons = _exponent_list(staircase, points.n)
     pts, p = points.points, points.p
     if len(mons) != len(pts):
         return False

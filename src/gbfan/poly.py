@@ -26,8 +26,6 @@ def divides(u, v):
 class MonomialOrder:
     """Base class for total orders on exponent vectors."""
 
-    kind = "abstract"
-
     def key(self, u):
         raise NotImplementedError
 
@@ -58,8 +56,6 @@ def _check_permutation(permutation):
 class LexOrder(MonomialOrder):
     """Lexicographic order; the permutation lists variables by precedence."""
 
-    kind = "lex"
-
     def __init__(self, permutation=None):
         self.permutation = None if permutation is None else _check_permutation(permutation)
 
@@ -82,8 +78,6 @@ class LexOrder(MonomialOrder):
 class GrLexOrder(MonomialOrder):
     """Total degree first, lexicographic tie-break."""
 
-    kind = "grlex"
-
     def key(self, u):
         return (sum(u), tuple(u))
 
@@ -93,8 +87,6 @@ class GrLexOrder(MonomialOrder):
 
 class GrevLexOrder(MonomialOrder):
     """Total degree first, reverse lexicographic tie-break."""
-
-    kind = "grevlex"
 
     def key(self, u):
         return (sum(u), tuple(-e for e in reversed(u)))
@@ -110,8 +102,6 @@ class WeightOrder(MonomialOrder):
     defaults to x1 above x2 above the rest.  The empty vector orders the
     one monomial in no variables.
     """
-
-    kind = "weight"
 
     def __init__(self, weights, tie=None):
         ws = []

@@ -426,6 +426,9 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
 
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
+    for name, size in (("n", n), ("m", m)):
+        if size < 0:
+            raise ValueError(f"{name} must be nonnegative: {size}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be positive: {sample}")
     _check_group_order(p, n, max_sets)

@@ -99,6 +99,39 @@ def test_gb_text_format(tmp_path, capsys):
     assert "x1^3 + 2*x1" in out
 
 
+def test_fan_json_with_names(tmp_path, capsys):
+    # --names renames the variables of every basis in the JSON, as in gb's,
+    # and leaves the rest of each entry as it is
+    toy = _write(tmp_path, "toy.json", TOY)
+    code, out, _ = _run(capsys, ["fan", toy])
+    plain = json.loads(out)
+    code, out, err = _run(capsys, ["fan", toy, "--names", "a,b"])
+    assert (code, err) == (0, "")
+    named = json.loads(out)
+    rename = {"x1": "a", "x2": "b"}
+    for entry in plain["entries"]:
+        entry["gb"] = [re.sub(r"x[12]", lambda m: rename[m[0]], g) for g in entry["gb"]]
+    assert named == plain
+    assert named["entries"][1]["gb"] == ["b + a^2 + 2*a", "a^3 + 2*a"]
+    fan = all_reduced_gbs(PointSet.from_json(TOY))
+    assert fan.to_json(("a", "b")) == named and fan.to_json() == fan.to_json(None)
+
+
+def test_unique_checks_the_budget_before_the_lex_orders(tmp_path, capsys):
+    # 0, e1, e2 in Z_2^7 have one basis, which is_unique_gb answers with no
+    # budget; gbfan unique still refuses their walk box of 2^7 > 64
+    # monomials, and runs under a budget that holds it
+    three = {"p": 2, "n": 7, "points": [[0] * 7, [1] + [0] * 6, [0, 1] + [0] * 5]}
+    assert is_unique_gb(PointSet.from_json(three)) == (True, 1)
+    path = _write(tmp_path, "three.json", three)
+    assert _run(capsys, ["unique", path]) == (
+        3, "", "error: box size 128 exceeds the budget 64\n"
+    )
+    code, out, err = _run(capsys, ["unique", path, "--max-box", "128"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"unique": True, "gb_count": 1}
+
+
 def test_fan_text_format_with_names(tmp_path, capsys):
     toy = _write(tmp_path, "toy.json", TOY)
     code, out, _ = _run(capsys, ["fan", toy, "--format", "text", "--names", "a,b"])
@@ -238,12 +271,14 @@ def _classify_report(p, n, m, classes, unique_sets, total):
 @pytest.mark.parametrize("argv, code, out, err", [
     (["--m", "0"], 2, None, "error: empty point set\n"),
     (["--m", "0", "--sample", "3"], 2, None, "error: empty point set\n"),
-    (["--m", "-1"], 2, None, "error: k must be a non-negative integer\n"),
+    (["--m", "-1"], 2, None, "error: m must be nonnegative: -1\n"),
     (["--m", "9"], 0, _classify_report(2, 3, 9, [], 0, 0), ""),
     (["--n", "0", "--m", "1"], 0, _classify_report(
         2, 0, 1, [{"rep": [[]], "size": 1, "gb_count": 1, "unique": True}], 1, 1), ""),
     (["--p", "4", "--m", "2"], 2, None, "error: p must be prime: 4\n"),
     (["--m", "3", "--sample", "0"], 2, None, "error: sample size must be positive: 0\n"),
+    (["--n", "-1", "--m", "1"], 2, None, "error: n must be nonnegative: -1\n"),
+    (["--m", "-1", "--sample", "3"], 2, None, "error: m must be nonnegative: -1\n"),
 ])
 def test_classify_edge_cases(capsys, argv, code, out, err):
     # later options override the defaults p = 2, n = 3
@@ -452,12 +487,14 @@ def test_config_allows_no_augmentation(tmp_path, capsys):
 def test_unique_builds_the_fan_only_for_several_basic_staircases(
     tmp_path, capsys, monkeypatch
 ):
-    # one basic staircase means one reduced basis, so the fan is never
-    # built; with several the count comes from the fan; either way the
-    # JSON is the fan's
+    # one basic staircase means one reduced basis, so the fan is neither
+    # built nor walked; with several the count comes from the fan; either
+    # way the JSON is the fan's
     import gbfan.cli
+    import gbfan.groebner
 
     build_fan = gbfan.cli.all_reduced_gbs
+    walk = gbfan.groebner._coherent_staircases
 
     def refuse(*args, **kwargs):
         raise AssertionError("the fan was built")
@@ -465,12 +502,13 @@ def test_unique_builds_the_fan_only_for_several_basic_staircases(
     rng = random.Random(41)
     shapes = [(2, 3), (3, 2), (2, 4), (5, 2)]
     sets = [random_points(rng, p, n, rng.randint(1, 6)) for p, n in shapes * 6]
+    # counted before anything is patched
+    counted = [(all_reduced_gbs(V), is_unique_gb(V)[1] == 1) for V in sets]
     branches = set()
-    for i, V in enumerate(sets):
-        fan = all_reduced_gbs(V)
-        single = is_unique_gb(V)[1] == 1
+    for i, (V, (fan, single)) in enumerate(zip(sets, counted)):
         branches.add(single)
         monkeypatch.setattr(gbfan.cli, "all_reduced_gbs", refuse if single else build_fan)
+        monkeypatch.setattr(gbfan.groebner, "_coherent_staircases", refuse if single else walk)
         path = _write(tmp_path, f"set{i}.json", V.to_json())
         code, out, err = _run(capsys, ["unique", path])
         assert (code, err) == (0, ""), V
@@ -481,6 +519,7 @@ def test_unique_builds_the_fan_only_for_several_basic_staircases(
     # the fan's budgets are checked before the count, with its exit code and
     # message, also for a set with a single basic staircase
     monkeypatch.setattr(gbfan.cli, "all_reduced_gbs", build_fan)
+    monkeypatch.setattr(gbfan.groebner, "_coherent_staircases", walk)
     stair = _write(tmp_path, "stair.json", {"p": 3, "n": 2, "points": [[0, 0], [0, 1]]})
     for budget in (["--max-box", "3"], ["--max-points", "1"]):
         results = [_run(capsys, [cmd, stair, *budget]) for cmd in ("fan", "unique")]

@@ -198,6 +198,49 @@ def test_is_unique_gb_examples():
         assert is_unique_gb(shifted) == (True, 1)
 
 
+def test_fan_size_reads_a_unique_set_off_the_lex_orders(monkeypatch):
+    # a set the n lex orders decide unique has one basis and no walk; the
+    # budgets still come first
+    rng = random.Random(25)
+    unique = [PointSet(3, 2, ideal.points) for ideal in enumerate_order_ideals(3, 2, 4)]
+    unique += [apply_shift(random_shift(rng, 3, 2), V) for V in unique]
+    for _ in range(60):
+        V = random_point_set(rng, 2, 4, max_size=8)
+        if lex_unique(V):
+            unique.append(V)
+    assert all(fan_size(V) == 1 for V in unique)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(gbfan.groebner, "_coherent_staircases", refuse)
+    assert len(unique) > 20
+    for V in unique:
+        assert fan_size(V) == 1 and is_unique_gb(V) == (True, 1), V
+    with pytest.raises(AssertionError, match="the walk ran"):
+        fan_size(TOY)
+    with pytest.raises(BudgetExceeded, match="box size 9 exceeds the budget 8"):
+        fan_size(unique[0], max_box=8)
+
+
+def test_is_unique_gb_counts_bases_under_the_fan_budgets():
+    # a unique set answers before any budget: 0, e1, e2 in Z_2^7 sit in a
+    # walk box of 2^7 > 64 monomials, which fan_size refuses
+    units = [tuple(int(i == j) for i in range(7)) for j in range(2)]
+    three = PointSet(2, 7, [(0,) * 7, *units])
+    assert is_unique_gb(three) == (True, 1)
+    with pytest.raises(BudgetExceeded, match="box size 128"):
+        fan_size(three)
+    # a set with several bases has them counted by fan_size, under its
+    # default budgets: 17 points exceed the 16 the walk may hold
+    rng = random.Random(17)
+    V = PointSet(2, 5, rng.sample(box_points(2, 5), 17))
+    assert not lex_unique(V)
+    with pytest.raises(BudgetExceeded, match="17 points exceed the budget 16"):
+        is_unique_gb(V)
+    assert is_unique_gb(TOY) == (False, fan_size(TOY)) == (False, 2)
+
+
 def test_unique_without_staircase_shift():
     V = PointSet(2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])
     assert is_unique_gb(V) == (True, 1)
@@ -348,6 +391,27 @@ def test_transport_matches_direct_computation():
         verify_reduced_gb(moved, apply_shift(shift, V))
 
 
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 4), (11, 2)])
+def test_transport_needs_no_inter_reduction(p, n):
+    # the substituted generators, made monic, are already reduced: they
+    # equal a fresh interpolation of the shifted points, and inter-reducing
+    # them changes nothing
+    rng = random.Random(700 + 10 * p + n)
+    orders = [GrevLexOrder(), GrLexOrder(), LexOrder(), LexOrder(tuple(range(n))[::-1]),
+              WeightOrder(tuple(range(1, n + 1)))]
+    for _ in range(5):
+        V = random_point_set(rng, p, n, max_size=8)
+        shift = random_shift(rng, p, n)
+        W = apply_shift(shift, V)
+        for order in orders:
+            moved = transport_gb(bm_reduced_gb(V, order), shift)
+            assert moved == bm_reduced_gb(W, order), (V, shift, order)
+            gens = moved.generators
+            for i, g in enumerate(gens):
+                others = gens[:i] + gens[i + 1 :]
+                assert normal_form(g.poly, others, order) == g.poly
+
+
 def test_ideal_membership_examples():
     rng = random.Random(61)
     for _ in range(20):
@@ -434,7 +498,7 @@ def test_uniqueness_fast_path_matches_fan_size():
         unique, count = is_unique_gb(V)
         fan = all_reduced_gbs(V)
         assert unique == (len(fan) == 1)
-        assert count >= len(fan)  # basic staircases include all initial ones
+        assert count == len(fan)
 
 
 @pytest.mark.usefixtures("fm_matches_reference")
@@ -458,7 +522,7 @@ def test_pruned_walk_and_tail_bases_match_oracles(p, n):
             redo = bm_reduced_gb(V, WeightOrder(entry.witness_weight))
             assert entry.basis == redo, (V, entry.witness_weight)
             _assert_validated(entry, V)
-        assert is_unique_gb(V) == (len(fan) == 1, len(basic))
+        assert is_unique_gb(V) == (len(fan) == 1, len(fan))
         assert fan_size(V, max_box=p**n, max_points=m) == len(fan)
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gbfan import (
+    DataSet,
     DimensionMismatch,
     EmptyStaircase,
     MatrixZp,
@@ -17,6 +18,8 @@ from gbfan import (
     is_basic,
     is_staircase,
     layer,
+    model_select,
+    select_models,
 )
 from gbfan.groebner import bm_reduced_gb
 from gbfan.poly import LexOrder
@@ -121,6 +124,34 @@ def test_evaluation_matrix_refuses_non_integer_points():
     for point in ((2.0,), (False,)):
         with pytest.raises(ValueError, match="coordinates must be integers"):
             evaluation_matrix([(1,)], [point], p=3)
+
+
+@pytest.mark.parametrize("monomials, error, message", [
+    ([(0,), (1,)], DimensionMismatch, r"\(0,\) has 1 exponents, expected 2"),
+    ([(0, 0, 0), (1, 0, 5)], DimensionMismatch, "has 3 exponents, expected 2"),
+    ([(0, 0), (-1, 0)], ValueError, r"exponents must be nonnegative, got \[-1, 0\]"),
+    ([(0, 0), (1.0, 0)], ValueError, "exponents must be integers"),
+    ([(0, 0), (True, 0)], ValueError, "exponents must be integers"),
+])
+def test_evaluation_api_refuses_malformed_exponents(monomials, error, message):
+    # a monomial of the wrong length is never zipped down to the points'
+    # dimension, and a negative exponent is never read as an inverse:
+    # evaluation_matrix, is_basic and select_models read exponents one way
+    V = PointSet(3, 2, [(0, 0), (1, 0)])
+    data = DataSet(V, {0: (1, 2)})
+    calls = [
+        lambda: evaluation_matrix(monomials, V),
+        lambda: evaluation_matrix(monomials, list(V.points), p=3),
+        lambda: is_basic(monomials, V),
+        lambda: select_models(data, monomials, [0]),
+        lambda: model_select(data, monomials, 0),
+    ]
+    for call in calls:
+        with pytest.raises(error, match=message) as caught:
+            call()
+        assert "\n" not in str(caught.value)
+    assert is_basic([(0, 0), (1, 0)], V)
+    assert select_models(data, [(0, 0), (1, 0)], [0]) == [model_select(data, V, 0)]
 
 
 def test_is_basic_examples():
