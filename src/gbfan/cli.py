@@ -87,7 +87,9 @@ class RunConfig:
 
 def parse_order_spec(spec, n):
     """Order grammar: lex:<perm> | grlex | grevlex | weight:<w,..>[:tie=<perm>]."""
-    head, _, rest = spec.partition(":")
+    head, sep, rest = spec.partition(":")
+    if head in ("grlex", "grevlex") and sep:
+        raise ValueError(f"order {head} takes no argument: {spec}")
     if head == "grlex":
         return GrLexOrder()
     if head == "grevlex":
@@ -103,6 +105,8 @@ def parse_order_spec(spec, n):
         if not rest:
             raise ValueError("weight order needs a weight vector")
         parts = rest.split(":")
+        if len(parts) > 2:
+            raise ValueError(f"unrecognized order suffix: {':'.join(parts[2:])}")
         try:
             weights = [Fraction(x) for x in parts[0].split(",")]
         except ZeroDivisionError:
@@ -126,7 +130,13 @@ def load_point_set(path, p=None, n=None):
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
-        return PointSet.from_json(json.loads(text))
+        points = PointSet.from_json(json.loads(text))
+        for name, given, found in (("p", p, points.p), ("n", n, points.n)):
+            if given is not None and given != found:
+                raise ValueError(
+                    f"{name} = {given} disagrees with the point file's {name} = {found}"
+                )
+        return points
     if p is None or n is None:
         raise ValueError("CSV point files require --p and --n")
     points = []
@@ -301,11 +311,16 @@ def cmd_fds_state_space(args, config):
 def cmd_fds_select(args, config):
     dataset = DataSet.from_json(json.loads(Path(args.data).read_text()))
     names = _names(config, dataset.n)
+    coords = dataset.coordinates()
+    if args.coordinate is not None:
+        c = args.coordinate
+        if not 1 <= c <= dataset.n:
+            raise ValueError(f"coordinate {c} is outside 1..{dataset.n}")
+        if c - 1 not in dataset.outputs:
+            raise ValueError(f"no outputs for coordinate {c}")
+        coords = [c - 1]
     order = parse_order_spec(args.order, dataset.n)
     basis = bm_reduced_gb(dataset.inputs, order)
-    coords = (
-        [args.coordinate - 1] if args.coordinate is not None else dataset.coordinates()
-    )
     models = {
         str(j + 1): format_polynomial(model, basis.order, names)
         for j, model in zip(

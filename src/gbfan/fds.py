@@ -10,21 +10,15 @@ import itertools
 from dataclasses import dataclass
 from math import comb, prod
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    EmptyPointSet,
-    NotBasic,
-    SingularMatrix,
-)
+from .errors import BudgetExceeded, DimensionMismatch, EmptyPointSet, NotBasic
 from .groebner import _coherent_staircases, check_fan_budget
-from .field import int_tuple, modp_solve_columns
+from .field import int_tuple
 from .points import (
     PointSet,
+    _echelon,
     _exponent_list,
     _LexStandardSets,
     box_points,
-    evaluation_rows,
     lex_unique,
     require,
     require_object,
@@ -349,32 +343,29 @@ def select_models(dataset, staircase, coordinates):
     """For each coordinate, the unique combination of staircase monomials
     matching its outputs.
 
-    The staircase must be basic for the input points.  Its evaluation
-    matrix is built once, and one exact solve gives every coordinate's
-    interpolant, in the order of `coordinates`.
+    The staircase must be basic for the input points: its monomials push
+    the rows of `points._echelon`, and each coordinate's outputs reduce
+    against those rows to its interpolant, in the order of `coordinates`.
     """
     for j in coordinates:
         if j not in dataset.outputs:
             raise KeyError(f"no outputs for coordinate {j}")
     mons = _exponent_list(staircase, dataset.n)
-    p = dataset.p
-    rows = evaluation_rows(mons, dataset.inputs.points, p)
-    if len(mons) == len(rows):
-        columns = [dataset.outputs[j] for j in coordinates]
-        try:
-            solutions = modp_solve_columns(rows, columns, p)
-        except SingularMatrix:
-            pass
-        else:
-            return [Polynomial(p, dataset.n, dict(zip(mons, x))) for x in solutions]
-    raise NotBasic(f"{mons} is not a quotient basis for the inputs")
+    push, _, _, coefficients, pack = _echelon(dataset.inputs)
+    if len(mons) != len(dataset.inputs) or not all(push(u) is not None for u in mons):
+        raise NotBasic(f"{mons} is not a quotient basis for the inputs")
+    p, n = dataset.p, dataset.n
+    return [
+        Polynomial(p, n, zip(mons, coefficients(pack(dataset.outputs[j]))))
+        for j in coordinates
+    ]
 
 
 def model_select(dataset, staircase, coordinate):
     """The unique combination of staircase monomials matching the outputs.
 
     The staircase must be basic for the input points; the interpolant is
-    solved exactly from the evaluation matrix.
+    read off the echelon rows its monomials push.
     """
     return select_models(dataset, staircase, [coordinate])[0]
 

@@ -1,8 +1,11 @@
 """Exact linear algebra over prime fields Z_p.
 
-`ModpRows` is the one elimination over Z_p: rank, solve, interpolation
-and the fan walk all reduce packed rows against it.  Over Z_2 the fan
-walk and `gf2_row_rank` reduce bit masks with `gf2_reduce`.
+`ModpRows` is the one elimination over Z_p, on packed rows, and
+`gf2_reduce` the one over Z_2, on bit masks.  The algorithms of the
+package run on them only through `points._echelon`, the interpolation
+kernel.  `rank`, `modp_row_rank`, `gf2_row_rank` and `modp_solve_columns`
+are the public matrix layer over the same eliminations, and the
+references the tests check that kernel against.
 """
 
 from functools import lru_cache

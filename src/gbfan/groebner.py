@@ -7,18 +7,18 @@ grown so far, so the work grows with the number of points and variables
 and not with p.  The complete collection over all orders (the algebraic
 fan) comes from a depth-first walk over the basic staircases alone,
 pruned as soon as the value vectors of a partial staircase become
-dependent.  The walk's echelon rows carry their combinations of the
-members, so each corner's tail is read off by reducing its value vector,
-and so is the interpolant of any target vector of values over the points.
-A row is one int: a bit mask over Z_2, and over Z_p a `ModpRows` row of
-slots wide enough that no reduction carries between them; interpolation
-uses the same rows.  A staircase is kept when a strictly positive weight
-vector makes every corner larger than its tail terms: a pair of opposite
-corner-minus-tail differences refutes it as soon as the second is built,
-and otherwise integer Fourier-Motzkin elimination decides it and rebuilds
-the witness.  The elimination drops each derived row that Chernikov's
-rule shows implied, and refuses, with BudgetExceeded, a step that would
-pair more than FM_MAX_PAIRS rows.  One generator yields the staircases that pass both
+dependent.  Both run on the one interpolation kernel, `points._echelon`,
+whose echelon rows carry their combinations of the members: reducing a
+dependent monomial's value vector reads off a generator of
+`bm_reduced_gb`, or a corner's tail in the walk, and reducing a target
+vector of values over the points reads off its interpolant.  A staircase
+is kept when a strictly positive weight vector makes every corner larger
+than its tail terms: a pair of opposite corner-minus-tail differences
+refutes it as soon as the second is built, and otherwise integer
+Fourier-Motzkin elimination decides it and rebuilds the witness.  The
+elimination drops each derived row that Chernikov's rule shows implied,
+and refuses, with BudgetExceeded, a step that would pair more than
+FM_MAX_PAIRS rows.  One generator yields the staircases that pass both
 tests: `fan_size` only counts them, for callers that need the number of
 bases, `all_reduced_gbs` reads each basis off its tails, under a
 certificate that each tail lies below its corner in the witness order,
@@ -32,8 +32,7 @@ from math import gcd
 from operator import mul, sub
 
 from .errors import BudgetExceeded, EmptyPointSet
-from .field import ModpRows, gf2_reduce
-from .points import OrderIdealSet, lex_unique, walk_staircases
+from .points import OrderIdealSet, _echelon, lex_unique, walk_staircases
 from .poly import (
     MarkedPolynomial,
     Polynomial,
@@ -136,54 +135,44 @@ def bm_reduced_gb(points, order):
     been found standard, so the leading terms are the corners of the
     staircase and the result is monic and inter-reduced by construction.
 
-    A successor's values are its parent's values times one coordinate of
-    each point, so at most 1 + n*|V| monomials are visited and the work
-    does not depend on p.  The span is kept as packed `ModpRows` rows, each
-    carrying its combination of the standard monomials, so reducing a
-    dependent vector leaves the generator's coefficients in its slots.
+    Value vectors and echelon rows come from `points._echelon`: a
+    monomial is standard when it pushes a row, and the rows carry their
+    combinations of the standard monomials, so a dependent monomial's
+    interpolant is read off them.  At most 1 + n*|V| monomials are
+    visited and the work does not depend on p.
     """
     if len(points) == 0:
         raise EmptyPointSet("cannot interpolate an empty point set")
-    p, n = points.p, points.n
-    pts = points.points
-    m = len(pts)
+    p, n, m = points.p, points.n, len(points)
+    push, _, vector, coefficients, _ = _echelon(points)
     one = (0,) * n
-    border = [(order.key(one), one, [1] * m)]
+    border = [(order.key(one), one)]
     queued = {one}
-
-    echelon = ModpRows(p, m)
     sm = []
     generators = []
     leads = []
 
     while border:
-        _, u, values = heapq.heappop(border)
-        skip = False
-        for t in leads:
-            if divides(t, u):
-                skip = True
-                break
-        if skip:
+        _, u = heapq.heappop(border)
+        if any(divides(t, u) for t in leads):
             continue
-        k = len(sm)
-        vec = echelon.reduce(echelon.pack(values))
-        # a 1 in combination slot k makes a new row stand for member k, u
-        if k == m or echelon.insert(vec | 1 << k * echelon.width) is None:
-            # vec is 0 on the points: u plus its combination of the members
-            terms = {u: 1}
-            for v, c in zip(sm, echelon.combination(vec, k)):
-                if c:
-                    terms[v] = c
-            generators.append(MarkedPolynomial(Polynomial(p, n, terms), u))
-            leads.append(u)
-        else:
+        # m members span every vector, and have no combination slot to spare
+        if len(sm) < m and push(u) is not None:
             sm.append(u)
             for j in range(n):
                 w = u[:j] + (u[j] + 1,) + u[j + 1 :]
                 if w not in queued:
                     queued.add(w)
-                    succ = [x * v[j] % p for x, v in zip(values, pts)]
-                    heapq.heappush(border, (order.key(w), w, succ))
+                    heapq.heappush(border, (order.key(w), w))
+        else:
+            # u minus its interpolant over the members vanishes on the points
+            terms = {u: 1}
+            for v, c in zip(sm, coefficients(vector(u))):
+                if c:
+                    terms[v] = p - c
+            poly = Polynomial._from_reduced(p, n, terms)
+            generators.append(MarkedPolynomial(poly, u))
+            leads.append(u)
 
     if len(sm) != m:
         raise RuntimeError("standard monomials do not span the point space")
@@ -355,108 +344,13 @@ def _fm_witness(diffs, nvars, prune):
     return tuple(x // g for x in num)
 
 
-class _Values(dict):
-    """Value vector over a list of points of each monomial looked up.
-
-    A monomial's vector is that of a divisor times one coordinate column,
-    so each costs one pass over the points and none calls eval_monomial.
-    Over Z_p a vector is a tuple; over Z_2 it is a bit mask, bit i
-    standing for point i, and the product is a bitwise and.
-    """
-
-    def __init__(self, p, n, points):
-        super().__init__()
-        self.masks = p == 2
-        columns = list(zip(*points))
-        if self.masks:
-            self.columns = [sum(c << i for i, c in enumerate(col)) for col in columns]
-            self[(0,) * n] = (1 << len(points)) - 1
-        else:
-            self.columns = columns
-            self.p = p
-            self[(0,) * n] = (1,) * len(points)
-
-    def __missing__(self, u):
-        j = next(j for j, e in enumerate(u) if e)
-        parent = self[u[:j] + (u[j] - 1,) + u[j + 1 :]]
-        if self.masks:
-            vec = parent & self.columns[j]
-        else:
-            p = self.p
-            vec = tuple(x * c % p for x, c in zip(parent, self.columns[j]))
-        self[u] = vec
-        return vec
-
-
-def _echelon_walk(points):
-    """The push and pop that keep the walk to basic staircases.
-
-    A monomial joins only when its value vector over the points is
-    independent of the members' vectors: those are kept as echelon rows,
-    pushed on the way down and popped on the way back.  Every subset of a
-    basic staircase has independent vectors, so a dependent branch is
-    dropped at once.  Every echelon row also carries its combination of
-    the members, as the rows of `bm_reduced_gb` do.  Over Z_2 a row is one
-    bit mask: the values sit above the low m bits, which hold the
-    combination, one bit per member.  Over Z_p it is one `ModpRows` row,
-    whose low m slots hold the combination.  Returns (push, pop, vector,
-    coefficients, pack): `vector` gives a monomial's packed value vector,
-    `pack` packs a vector of values over the points, and `coefficients`
-    reads the member coefficients of a packed vector's interpolant off the
-    rows of a full staircase.
-    """
-    p, n, m = points.p, points.n, len(points)
-    values = _Values(p, n, points.points)
-    if p == 2:
-        pivots = {}
-
-        def push(u):
-            mask = gf2_reduce(values[u] << m | 1 << len(pivots), pivots)
-            if not mask >> m:
-                return None
-            key = mask.bit_length() - 1
-            pivots[key] = mask
-            return key
-
-        def coefficients(vec):
-            combo = gf2_reduce(vec << m, pivots)
-            return [combo >> j & 1 for j in range(m)]
-
-        def pack(target):
-            return sum(x << i for i, x in enumerate(target))
-
-        return push, pivots.pop, values.__getitem__, coefficients, pack
-
-    echelon = ModpRows(p, m)
-    cache = {}
-
-    def vector(u):
-        vec = cache.get(u)
-        if vec is None:
-            vec = cache[u] = echelon.pack(values[u])
-        return vec
-
-    def push(u):
-        seed = 1 << len(echelon.rows) * echelon.width
-        return echelon.insert(echelon.reduce(vector(u) | seed))
-
-    def pop(_):
-        echelon.rows.pop()
-
-    def coefficients(vec):
-        # a reduced vector's slots hold minus its interpolant
-        return [-x % p for x in echelon.combination(echelon.reduce(vec), m)]
-
-    return push, pop, vector, coefficients, echelon.pack
-
-
 def _staircase_tails(points, targets=()):
     """Each basic staircase with the tail of each of its corners, and the
     interpolant of each target value vector.
 
     The staircases of m = |V| monomials come from `walk_staircases`, in
-    the lex order of `enumerate_order_ideals`, kept to basic ones by
-    `_echelon_walk`.  On a full staircase the echelon rows span every
+    the lex order of `enumerate_order_ideals`, kept to basic ones by the
+    pushes of `points._echelon`.  On a full staircase the echelon rows span every
     value vector, so reducing a corner's vector reads off the unique
     member coefficients of its interpolant, and reducing a target, a
     vector of values over the points, reads off its own.  Yields
@@ -465,7 +359,7 @@ def _staircase_tails(points, targets=()):
     target, zero terms left out; with no targets, fits is ().
     """
     p, n, m = points.p, points.n, len(points)
-    push, pop, vector, coefficients, pack = _echelon_walk(points)
+    push, pop, vector, coefficients, pack = _echelon(points)
     packed = [pack(t) for t in targets]
     for members in walk_staircases(p, n, m, push, pop):
         tails = [

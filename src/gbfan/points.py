@@ -3,6 +3,10 @@
 Points and exponent vectors share one representation, so a staircase can
 be read as a set of monomials or as a set of data points without any
 conversion.
+
+`_echelon`, the one interpolation kernel, reduces the value vectors of
+monomials over the points against echelon rows that remember their
+combinations; every algorithm of the package runs on it.
 """
 
 import itertools
@@ -11,7 +15,7 @@ from math import prod
 from operator import mul
 
 from .errors import DimensionMismatch, EmptyStaircase
-from .field import MatrixZp, gf2_row_rank, int_tuple, is_prime, modp_row_rank
+from .field import MatrixZp, ModpRows, gf2_reduce, int_tuple, is_prime
 
 
 @lru_cache(maxsize=None)
@@ -207,29 +211,116 @@ def evaluation_matrix(monomials, points, p=None):
         n = dims.pop() if dims else None
     if p is None:
         raise ValueError("p is required when neither argument is a PointSet")
-    return MatrixZp(p, evaluation_rows(_exponent_list(monomials, n), pts, p))
+    mons = _exponent_list(monomials, n)
+    return MatrixZp(p, [[eval_monomial(v, u, p) for u in mons] for v in pts])
 
 
-def evaluation_rows(monomials, points, p):
-    """Row i lists the value of each monomial at the i-th point."""
-    return [[eval_monomial(v, u, p) for u in monomials] for v in points]
+class _Values(dict):
+    """Value vector over a list of points of each monomial looked up.
+
+    A monomial's vector is that of the monomial with its first nonzero
+    exponent e cleared, times the e-th power of that coordinate's column,
+    so each costs one pass over the points, any exponent included, and
+    none calls eval_monomial.  Over Z_p a vector is a tuple; over Z_2 it
+    is a bit mask, bit i standing for point i, and the product is a
+    bitwise and.
+    """
+
+    def __init__(self, p, n, points):
+        super().__init__()
+        self.masks = p == 2
+        columns = list(zip(*points))
+        if self.masks:
+            self.columns = [sum(c << i for i, c in enumerate(col)) for col in columns]
+            self[(0,) * n] = (1 << len(points)) - 1
+        else:
+            self.columns = columns
+            self.p = p
+            self[(0,) * n] = (1,) * len(points)
+
+    def __missing__(self, u):
+        j, e = next((j, e) for j, e in enumerate(u) if e)
+        parent = self[u[:j] + (0,) + u[j + 1 :]]
+        if self.masks:
+            vec = parent & self.columns[j]
+        else:
+            p = self.p
+            vec = tuple(x * pow(c, e, p) % p for x, c in zip(parent, self.columns[j]))
+        self[u] = vec
+        return vec
+
+
+def _echelon(points):
+    """The interpolation kernel over a point set: (push, pop, vector,
+    coefficients, pack).
+
+    `push(u)` makes u the next of at most m = |V| members, and returns a
+    key for `pop`, which drops the last member, when u's value vector is
+    independent of theirs; a dependent u returns None and changes nothing.
+    The echelon rows carry their combinations of the members, so
+    `coefficients(vec)` reads off the member coefficients of a packed
+    vector in their span, its interpolant once there are m members.
+    `vector(u)` is u's packed value vector and `pack` packs a vector of
+    values over the points.  Over Z_2 a row is one bit mask, the values
+    above the low m bits, one combination bit per member; over Z_p it is
+    one `ModpRows` row, whose low m slots hold the combination.
+    """
+    p, n, m = points.p, points.n, len(points)
+    values = _Values(p, n, points.points)
+    if p == 2:
+        pivots = {}
+
+        def push(u):
+            mask = gf2_reduce(values[u] << m | 1 << len(pivots), pivots)
+            if not mask >> m:
+                return None
+            key = mask.bit_length() - 1
+            pivots[key] = mask
+            return key
+
+        def coefficients(vec):
+            combo = gf2_reduce(vec << m, pivots)
+            return [combo >> j & 1 for j in range(m)]
+
+        def pack(target):
+            return sum(x << i for i, x in enumerate(target))
+
+        return push, pivots.pop, values.__getitem__, coefficients, pack
+
+    echelon = ModpRows(p, m)
+    cache = {}
+
+    def vector(u):
+        vec = cache.get(u)
+        if vec is None:
+            vec = cache[u] = echelon.pack(values[u])
+        return vec
+
+    def push(u):
+        seed = 1 << len(echelon.rows) * echelon.width
+        return echelon.insert(echelon.reduce(vector(u) | seed))
+
+    def pop(_):
+        echelon.rows.pop()
+
+    def coefficients(vec):
+        # a reduced vector's slots hold minus its interpolant
+        return [-x % p for x in echelon.combination(echelon.reduce(vec), m)]
+
+    return push, pop, vector, coefficients, echelon.pack
 
 
 def is_basic(staircase, points):
     """Whether the monomials form a quotient basis for the ideal of the points.
 
-    True exactly when the evaluation matrix is square and invertible.
-    Over Z_2 each row is packed into a bit mask for `gf2_row_rank`.
+    True exactly when there is one monomial per point and their value
+    vectors are independent: each one pushes a row of `_echelon`.
     """
     mons = _exponent_list(staircase, points.n)
-    pts, p = points.points, points.p
-    if len(mons) != len(pts):
+    if len(mons) != len(points):
         return False
-    rows = evaluation_rows(mons, pts, p)
-    if p == 2:
-        masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
-        return gf2_row_rank(masks) == len(rows)
-    return modp_row_rank(rows, p) == len(rows)
+    push = _echelon(points)[0]
+    return all(push(u) is not None for u in mons)
 
 
 def layer(staircase, j, i):

@@ -34,7 +34,8 @@ from gbfan import (
     divides,
 )
 from gbfan.errors import EmptyPointSet
-from gbfan.fds import ModelEnumeration, select_models
+from gbfan.fds import ModelEnumeration
+from gbfan.field import modp_solve_columns
 from gbfan.points import eval_monomial
 from gbfan.shifts import _unrank_combination
 
@@ -286,15 +287,23 @@ def enumerate_models_reference(dataset, max_box=64, max_points=16):
     """All interpolating models across every quotient basis of the inputs.
 
     The whole fan is built by `all_reduced_gbs`, and each entry's
-    staircase is solved afresh by `select_models`, on an evaluation matrix
-    of its own.  The reference for `fds.enumerate_models`, which reads the
-    models off the fan walk's echelon rows.
+    staircase is solved afresh by `field.modp_solve_columns`, on an
+    evaluation matrix of `eval_monomial` rows of its own.  The reference
+    for `fds.enumerate_models`, which reads the models off the fan walk's
+    echelon rows.
     """
     fan = all_reduced_gbs(dataset.inputs, max_box=max_box, max_points=max_points)
     coordinates = dataset.coordinates()
+    columns = [dataset.outputs[j] for j in coordinates]
+    p, n = dataset.p, dataset.n
     per_coordinate = [[] for _ in coordinates]
     for entry in fan.entries:
-        models = select_models(dataset, entry.standard_monomials, coordinates)
+        mons = entry.standard_monomials.points
+        rows = [[eval_monomial(v, u, p) for u in mons] for v in dataset.inputs]
+        models = [
+            Polynomial(p, n, dict(zip(mons, x)))
+            for x in modp_solve_columns(rows, columns, p)
+        ]
         for seen, model in zip(per_coordinate, models):
             if model not in seen:
                 seen.append(model)

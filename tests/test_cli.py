@@ -177,6 +177,29 @@ def test_gb_bad_order_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "zero denominator" in err
 
 
+@pytest.mark.parametrize("order", ["grlex:1", "grevlex:x", "weight:1,1:tie=1,2:extra"])
+def test_order_with_trailing_text_exits_2(tmp_path, capsys, order):
+    # text past the order grammar is refused, never dropped
+    csv = tmp_path / "v.csv"
+    csv.write_text("0,0\n1,0\n2,1\n")
+    code, out, err = _run(capsys, ["gb", str(csv), "--p", "3", "--n", "2", "--order", order])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_json_points_refuse_a_disagreeing_p_or_n(tmp_path, capsys):
+    toy = _write(tmp_path, "toy.json", TOY)
+    for flags, message in [
+        (["--p", "5", "--n", "3"], "p = 5 disagrees with the point file's p = 3"),
+        (["--n", "3"], "n = 3 disagrees with the point file's n = 2"),
+    ]:
+        got = _run(capsys, ["gb", toy, "--order", "lex", *flags])
+        assert got == (2, "", f"error: {message}\n")
+    # values that agree run as if they were not given
+    code, out, _ = _run(capsys, ["gb", toy, "--order", "lex", "--p", "3", "--n", "2"])
+    assert (code, out) == _run(capsys, ["gb", toy, "--order", "lex"])[:2]
+
+
 def test_gb_rational_weights(tmp_path, capsys):
     toy = _write(tmp_path, "toy.json", TOY)
     code, out, _ = _run(capsys, ["gb", toy, "--order", "weight:1/2,3/2"])
@@ -364,6 +387,20 @@ def test_fds_select_and_models(tmp_path, capsys):
     models = json.loads(out)
     assert models["counts"] == [4, 1, 4, 4]
     assert models["total"] == 64
+
+
+@pytest.mark.parametrize("coordinate, message", [
+    ("0", "coordinate 0 is outside 1..2"),
+    ("-1", "coordinate -1 is outside 1..2"),
+    ("3", "coordinate 3 is outside 1..2"),
+    ("2", "no outputs for coordinate 2"),
+])
+def test_fds_select_refuses_a_coordinate_by_the_number_given(
+    tmp_path, capsys, coordinate, message
+):
+    data = _write(tmp_path, "data.json", {**TOY, "outputs": {"1": [0, 0, 1]}})
+    argv = ["fds", "select", data, "--order", "grevlex", "--coordinate", coordinate]
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_fds_augment(tmp_path, capsys):

@@ -41,7 +41,7 @@ from gbfan.groebner import (
     _positive_weight_witness,
     _staircase_tails,
 )
-from gbfan.points import eval_monomial, evaluation_rows, lex_unique, walk_staircases
+from gbfan.points import eval_monomial, lex_unique, walk_staircases
 from _oracles import (
     _basic_count,
     brute_force_order_ideals,
@@ -585,9 +585,9 @@ def test_fan_layers_match_references(p, n):
     for V in sets:
         targets = [tuple(rng.randrange(p) for _ in V.points) for _ in range(2)]
         for members, tails, fits in _staircase_tails(V, targets):
-            rows = evaluation_rows(members, V.points, p)
-            corners = [c for c, _ in tails]
-            columns = list(zip(*evaluation_rows(corners, V.points, p))) + targets
+            rows = [[eval_monomial(v, u, p) for u in members] for v in V.points]
+            corners = [[eval_monomial(v, c, p) for v in V.points] for c, _ in tails]
+            columns = corners + targets
             solved = modp_solve_columns(rows, columns, p)
             for (corner, tail), coeffs in zip(tails, solved):
                 assert tail == [(u, x) for u, x in zip(members, coeffs) if x], (V, corner)

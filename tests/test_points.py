@@ -9,6 +9,7 @@ from gbfan import (
     DimensionMismatch,
     EmptyStaircase,
     MatrixZp,
+    NotBasic,
     OrderIdealSet,
     PointSet,
     box_points,
@@ -24,7 +25,7 @@ from gbfan import (
 from gbfan.groebner import bm_reduced_gb
 from gbfan.poly import LexOrder
 from gbfan.points import _box, _LexStandardSets, eval_monomial, walk_staircases
-from _oracles import brute_force_order_ideals, walk_staircases_reference
+from _oracles import brute_force_order_ideals, span_rank, walk_staircases_reference
 
 
 def test_point_set_canonical_order_and_validation():
@@ -177,6 +178,40 @@ def test_staircase_basicness_characterization():
             for v in ideals:
                 V = PointSet(p, n, v.points)
                 assert is_basic(lam, V) == (lam.points == v.points)
+
+
+@pytest.mark.parametrize("p,n,most", [(2, 4, 8), (3, 2, 6), (5, 2, 5), (7, 2, 4)])
+def test_is_basic_and_select_models_match_span_rank(p, n, most):
+    # on every order ideal of each random set's size, is_basic agrees with
+    # the rank of eval_monomial rows read off the size of their span, and
+    # where it holds select_models interpolates random outputs on the
+    # ideal's monomials; a repeated monomial, or one monomial too few, is
+    # never basic
+    rng = random.Random(2600 + 10 * p + n)
+    box = box_points(p, n)
+    coordinates = list(range(n))
+    for _ in range(6):
+        V = PointSet(p, n, rng.sample(box, rng.randint(1, most)))
+        m = len(V)
+        outputs = {j: tuple(rng.randrange(p) for _ in range(m)) for j in coordinates}
+        data = DataSet(V, outputs)
+        for ideal in enumerate_order_ideals(p, n, m):
+            mons = list(ideal.points)
+            rows = [[eval_monomial(v, u, p) for u in mons] for v in V.points]
+            basic = is_basic(mons, V)
+            assert basic == (span_rank(rows, p) == m), (V, mons)
+            if not basic:
+                with pytest.raises(NotBasic):
+                    select_models(data, mons, coordinates)
+                continue
+            for j, model in zip(coordinates, select_models(data, mons, coordinates)):
+                assert set(model.terms) <= set(mons)
+                assert tuple(model.evaluate(v) for v in V.points) == outputs[j], V
+            repeated = mons[:-1] + mons[:1]
+            for bad in (mons[:-1], repeated) if m > 1 else (mons[:-1],):
+                assert not is_basic(bad, V), (V, bad)
+                with pytest.raises(NotBasic):
+                    select_models(data, bad, coordinates)
 
 
 def test_layer_examples():
