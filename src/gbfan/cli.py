@@ -85,6 +85,15 @@ class RunConfig:
         return cls(**data)
 
 
+def _permutation(text, n, what):
+    """The 0-based form of a permutation written as 1..n, each once, in
+    their canonical spelling, separated by commas."""
+    parts = text.split(",")
+    if sorted(parts) != sorted(str(j) for j in range(1, n + 1)):
+        raise ValueError(f"{what} permutation must list 1..{n} once: {text}")
+    return [int(x) - 1 for x in parts]
+
+
 def parse_order_spec(spec, n):
     """Order grammar: lex:<perm> | grlex | grevlex | weight:<w,..>[:tie=<perm>]."""
     head, sep, rest = spec.partition(":")
@@ -95,12 +104,7 @@ def parse_order_spec(spec, n):
     if head == "grevlex":
         return GrevLexOrder()
     if head == "lex":
-        if not rest:
-            return LexOrder()
-        perm = [int(x) - 1 for x in rest.split(",")]
-        if sorted(perm) != list(range(n)):
-            raise ValueError(f"lex permutation must list 1..{n} once: {rest}")
-        return LexOrder(perm)
+        return LexOrder(_permutation(rest, n, "lex")) if sep else LexOrder()
     if head == "weight":
         if not rest:
             raise ValueError("weight order needs a weight vector")
@@ -118,9 +122,7 @@ def parse_order_spec(spec, n):
             tie_part = parts[1]
             if not tie_part.startswith("tie="):
                 raise ValueError(f"unrecognized order suffix: {tie_part}")
-            tie = [int(x) - 1 for x in tie_part[4:].split(",")]
-            if sorted(tie) != list(range(n)):
-                raise ValueError(f"tie permutation must list 1..{n} once")
+            tie = _permutation(tie_part[4:], n, "tie")
         return WeightOrder(weights, tie=tie)
     raise ValueError(f"unknown order spec: {spec}")
 
@@ -509,7 +511,7 @@ def _build_config(args):
         for key in ("format", "seed", "p", "n", "max_box", "max_points", "max_sets")
         if getattr(args, key, None) is not None
     }
-    if getattr(args, "names", None):
+    if getattr(args, "names", None) is not None:
         overrides["names"] = tuple(args.names.split(","))
     config = replace(config, **overrides) if overrides else config
     # a command without --format does not read the key

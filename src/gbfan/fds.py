@@ -18,6 +18,8 @@ from .points import (
     _echelon,
     _exponent_list,
     _LexStandardSets,
+    _subset_mask,
+    _subset_points,
     box_points,
     lex_unique,
     require,
@@ -32,9 +34,6 @@ class BooleanExpression:
     def evaluate(self, state):
         raise NotImplementedError
 
-    def variables(self):
-        raise NotImplementedError
-
 
 class Var(BooleanExpression):
     __slots__ = ("index",)
@@ -46,9 +45,6 @@ class Var(BooleanExpression):
 
     def evaluate(self, state):
         return int(bool(state[self.index]))
-
-    def variables(self):
-        return {self.index}
 
     def __repr__(self):
         return f"Var({self.index})"
@@ -62,9 +58,6 @@ class Not(BooleanExpression):
 
     def evaluate(self, state):
         return 1 - self.expr.evaluate(state)
-
-    def variables(self):
-        return self.expr.variables()
 
     def __repr__(self):
         return f"Not({self.expr!r})"
@@ -80,9 +73,6 @@ class And(BooleanExpression):
     def evaluate(self, state):
         return self.left.evaluate(state) & self.right.evaluate(state)
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
     def __repr__(self):
         return f"And({self.left!r}, {self.right!r})"
 
@@ -96,9 +86,6 @@ class Or(BooleanExpression):
 
     def evaluate(self, state):
         return self.left.evaluate(state) | self.right.evaluate(state)
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
 
     def __repr__(self):
         return f"Or({self.left!r}, {self.right!r})"
@@ -333,9 +320,11 @@ class DataSet:
         require_object(data, ("outputs",), "a data file")
         outputs = {}
         for k, v in require(data["outputs"], dict, "outputs must be an object").items():
-            if not (k.isdigit() and 1 <= int(k) <= inputs.n):
+            # only the canonical spelling str(j) names coordinate j
+            j = int(k) if k.isascii() and k.isdigit() else 0
+            if not (1 <= j <= inputs.n and k == str(j)):
                 raise ValueError(f"output key {k!r} is not a coordinate 1..{inputs.n}")
-            outputs[int(k) - 1] = require(v, [int], f"outputs {k} must be integers")
+            outputs[j - 1] = require(v, [int], f"outputs {k} must be integers")
         return cls(inputs, outputs)
 
 
@@ -440,12 +429,13 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
 
     Every set, the points and each candidate, is decided by the n lex
     orders "x_j first" (`points._LexStandardSets.unique`): it is unique
-    exactly when they give one standard set.  A candidate is a bit mask
-    over the box, the points' bits and those of its extra points, and its
+    exactly when they give one standard set.  A candidate is a subset
+    mask of the box (`points._subset_mask`): the points' mask and some of
+    its clear bits, whose lex order is that of the complement.  Its
     standard sets come from fiber counts on that mask (Cerlienco-Mureddu),
     memoised for this call, so no candidate builds a point set, an
-    evaluation matrix or a staircase walk.  With k_max = 0 the complement
-    is never listed.
+    evaluation matrix or a staircase walk.  With k_max = 0 the box is
+    never listed.
     """
     if len(points) == 0:
         raise EmptyPointSet("empty point set")
@@ -472,17 +462,15 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
             )
     if k_max == 0:
         return None
-    complement = points.complement().points
     lex = _LexStandardSets(p, n)
-    base = sum(1 << lex.index(v) for v in points.points)
-    spots = [lex.index(v) for v in complement]
+    base = _subset_mask(points.points, p, n)
+    # the clear bits, highest first, are the complement in lex order
+    clear = [1 << i for i in range(p**n - 1, -1, -1) if not base >> i & 1]
     for k in range(1, k_max + 1):
-        for extra in itertools.combinations(range(free), k):
-            mask = base
-            for i in extra:
-                mask |= 1 << spots[i]
+        for extra in itertools.combinations(clear, k):
+            mask = base | sum(extra)
             if lex.unique(mask):
-                return k, PointSet(p, n, [complement[i] for i in extra])
+                return k, PointSet(p, n, _subset_points(mask ^ base, p, n))
     return None
 
 

@@ -7,12 +7,16 @@ conversion.
 `_echelon`, the one interpolation kernel, reduces the value vectors of
 monomials over the points against echelon rows that remember their
 combinations; every algorithm of the package runs on it.
+
+A subset of the box [0, p)^n is also one int, one bit per lex index, in
+the single layout of `_digit_masks`: `_subset_mask` and `_subset_points`
+convert, and the lex kernel `_LexStandardSets`, the shift orbits of
+`shifts` and the augmentation scan of `fds` all read the same masks.
 """
 
 import itertools
 from functools import lru_cache
 from math import prod
-from operator import mul
 
 from .errors import DimensionMismatch, EmptyStaircase
 from .field import MatrixZp, ModpRows, gf2_reduce, int_tuple, is_prime
@@ -28,6 +32,53 @@ def box_points(p, n):
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
     return list(_box(p, n))
+
+
+@lru_cache(maxsize=None)
+def _digit_masks(p, n):
+    """Per coordinate j of the box [0, p)^n: the width p^(n-1-j) of a
+    digit's block of lex indices, and the p subset masks of the indices
+    whose j-th digit is c, for c = 0..p-1.
+
+    This is the one subset-mask layout of the box: a subset is one int,
+    bit N-1-i standing for lex index i (N = p^n), so that among subsets
+    of one size a larger mask is a lexicographically smaller sorted
+    subset.  Digit c of coordinate j holds a block of `width` bits at
+    offset (p-1-c) * width in every period of p * width bits, so its mask
+    is the digit-0 mask moved c blocks down.
+    """
+    size = p**n
+    table = []
+    for j in range(n):
+        width = p ** (n - 1 - j)
+        repeat = ((1 << size) - 1) // ((1 << p * width) - 1)
+        floor = ((1 << width) - 1) * repeat << (p - 1) * width
+        table.append((width, tuple(floor >> c * width for c in range(p))))
+    return tuple(table)
+
+
+def _subset_mask(points, p, n):
+    """The subset mask of distinct points of [0, p)^n (see `_digit_masks`)."""
+    top = p**n - 1
+    mask = 0
+    for v in points:
+        index = 0
+        for c in v:
+            index = index * p + c
+        mask |= 1 << top - index
+    return mask
+
+
+def _subset_points(mask, p, n):
+    """The points of a subset mask of [0, p)^n, in lex order."""
+    box = _box(p, n)
+    size = len(box)
+    out = []
+    while mask:
+        bit = mask.bit_length()
+        out.append(box[size - bit])
+        mask ^= 1 << bit - 1
+    return tuple(out)
 
 
 def eval_monomial(point, exponents, p):
@@ -406,16 +457,17 @@ def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
 class _LexStandardSets:
     """Lex standard sets of point sets in Z_p^n, with no elimination.
 
-    A point set, and a set of exponent vectors, is held as a bit mask over
-    the lex indices of the box [0, p)^n.  Under lex with leading variable
+    A point set, and a set of exponent vectors, is held as a subset mask
+    of the box [0, p)^n (`_subset_mask`).  Under lex with leading variable
     x_j, let T_a be the projections along x_j of the points whose fiber
     holds more than a points.  Then the standard set is the union over a
     of x_j^a times the standard set of T_a in the remaining variables
     (Cerlienco-Mureddu 1995; Felszeghy-Ráth-Rónyai 2006).  A projection
     keeps its points where coordinate j is 0, so every mask stays on the
-    one box.  Over Z_2 the T_a come from the two slices x_j = 0, 1 in a
-    few mask operations; over Z_p they are counted point by point, so the
-    cost follows the number of points, not p.
+    one box, and multiplying by x_j^a moves the bits a digit blocks down.
+    Over Z_2 the T_a come from the two slices x_j = 0, 1 in a few mask
+    operations; over Z_p they are counted point by point, so the cost
+    follows the number of points, not p.
 
     The projections are memoised for the life of the instance, one dict
     per precedence and depth, keyed on the mask.  The masks asked for at
@@ -425,15 +477,9 @@ class _LexStandardSets:
 
     def __init__(self, p, n):
         self.p = p
-        self.steps = [p ** (n - 1 - j) for j in range(n)]
-        # floors[j], which the Z_2 split reads, has the bits of the indices
-        # whose coordinate j is 0: the low `step` bits of every block of
-        # step * p bits
-        self.floors = [
-            ((1 << p**n) - 1) // ((1 << step * p) - 1) * ((1 << step) - 1)
-            for step in self.steps
-        ]
-        self.plans = {}
+        # the monomial 1, lex index 0, the top bit
+        self.one = 1 << p**n - 1
+        self.digits = _digit_masks(p, n)
         # the plans of `unique`: the identity, its reverse, then x_j first
         # for each middle j
         first = tuple(range(n))
@@ -442,19 +488,13 @@ class _LexStandardSets:
             self._plan(order) for order in (first, first[::-1], *middles)
         ]
 
-    def index(self, point):
-        """The lex index of a point in the box, the position of its bit."""
-        return sum(map(mul, point, self.steps))
-
     def _plan(self, precedence):
-        plan = self.plans.get(precedence)
-        if plan is None:
-            plan = [
-                (None if depth == 0 else {}, self.steps[j], self.floors[j])
-                for depth, j in enumerate(precedence)
-            ]
-            self.plans[precedence] = plan
-        return plan
+        # per depth: a memo, none at the top, then the block width and the
+        # digit-0 mask, which the projections keep, of the variable dropped
+        return [
+            (None if depth == 0 else {}, self.digits[j][0], self.digits[j][1][0])
+            for depth, j in enumerate(precedence)
+        ]
 
     def __call__(self, mask, precedence):
         """The standard set of the points in `mask` under the lex order
@@ -500,8 +540,8 @@ class _LexStandardSets:
     def _standard(self, mask, plan, depth):
         if not mask & (mask - 1):
             # no point, or one: the standard set is empty, or {1}
-            return 1 if mask else 0
-        memo, step, floor = plan[depth]
+            return self.one if mask else 0
+        memo, width, floor = plan[depth]
         if memo is not None:
             found = memo.get(mask)
             if found is not None:
@@ -510,20 +550,22 @@ class _LexStandardSets:
         if self.p == 2:
             # T_0 = V0 | V1 and T_1 = V0 & V1 for the slices x_j = 0, 1
             low = mask & floor
-            high = mask >> step & floor
+            high = mask << width & floor
             found = self._standard(low | high, plan, below)
             both = low & high
             if both:
-                found |= self._standard(both, plan, below) << step
+                found |= self._standard(both, plan, below) >> width
         else:
             # fibers[a] is T_a, kept as running counts: each point puts its
-            # projection into the first T_a that lacks it
+            # projection into the first T_a that lacks it.  Bit i has digit
+            # p - 1 - i // width % p, and projects that many blocks up.
+            p = self.p
             fibers = []
             rest = mask
             while rest:
                 i = rest.bit_length() - 1
                 rest ^= 1 << i
-                bit = 1 << i - i // step % self.p * step
+                bit = 1 << i + (p - 1 - i // width % p) * width
                 for a, fiber in enumerate(fibers):
                     if not fiber & bit:
                         fibers[a] = fiber | bit
@@ -532,7 +574,7 @@ class _LexStandardSets:
                     fibers.append(bit)
             found = 0
             for a, fiber in enumerate(fibers):
-                found |= self._standard(fiber, plan, below) << a * step
+                found |= self._standard(fiber, plan, below) >> a * width
         if memo is not None:
             memo[mask] = found
         return found
@@ -548,11 +590,9 @@ def lex_unique(points):
     q = max(2, max k_j), where each k_j <= min(p, |V|), never on [0, p)^n.
     """
     labels = [{c: i for i, c in enumerate(sorted(set(col)))} for col in zip(*points)]
-    lex = _LexStandardSets(max([2, *map(len, labels)]), points.n)
-    mask = 0
-    for v in points:
-        mask |= 1 << lex.index([label[c] for label, c in zip(labels, v)])
-    return lex.unique(mask)
+    q, n = max([2, *map(len, labels)]), points.n
+    relabelled = [[label[c] for label, c in zip(labels, v)] for v in points]
+    return _LexStandardSets(q, n).unique(_subset_mask(relabelled, q, n))
 
 
 def enumerate_order_ideals(p, n, m):

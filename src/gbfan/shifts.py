@@ -5,7 +5,9 @@ a_i invertible, so it is a bijection of Z_p^n and an equivalence relation
 on point sets of equal size.  Shifted point sets have the same number of
 reduced Groebner bases, and so do point sets with permuted coordinates;
 the classification sweep computes one fan per orbit of the group those
-maps generate.
+maps generate.  Orbits are built on the subset masks of the box whose
+layout `points` owns, with each shift a few block moves of its digit
+masks.
 """
 
 import itertools
@@ -16,7 +18,15 @@ from math import comb, prod
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptyPointSet, ModulusMismatch
 from .field import int_tuple, is_prime
-from .points import OrderIdealSet, PointSet, box_points, is_staircase
+from .points import (
+    OrderIdealSet,
+    PointSet,
+    _digit_masks,
+    _subset_mask,
+    _subset_points,
+    box_points,
+    is_staircase,
+)
 from .poly import Polynomial
 
 
@@ -262,52 +272,26 @@ class ClassificationReport:
         return data
 
 
-def _coordinate_masks(p, n):
-    """Per coordinate j: the width p^(n-1-j) of a digit's block of indices,
-    the p masks of the box indices whose j-th digit is c, and the block
-    moves of each translation x_j -> x_j + b, b = 1..p-1.
-
-    A subset of the box `[0, p)^n` is one int, with bit N-1-i standing for
-    lex index i (N = p^n), so a larger mask is a lexicographically smaller
-    sorted subset.  Digit c of coordinate j holds a block of `width` bits
-    in every period of p * width, so its mask is one block times the
-    period's repeat pattern.  A translation carries the digits below
-    p - b up by b, a right shift by b * width, and the others down by
-    p - b.
-    """
-    size = p**n
-    coords = []
-    for j in range(n):
-        width = p ** (n - 1 - j)
-        repeat = ((1 << size) - 1) // ((1 << (p * width)) - 1)
-        block = (1 << width) - 1
-        masks = [(block << ((p - 1 - c) * width)) * repeat for c in range(p)]
-        translations = [
-            (sum(masks[: p - b]), b * width, sum(masks[p - b :]), (p - b) * width)
-            for b in range(1, p)
-        ]
-        coords.append((width, masks, translations))
-    return coords
-
-
 def _move(mask, moves):
     """The image of a subset mask under a bit permutation of the box, given
     as block moves: (digit mask, shift of its indices), the masks disjoint."""
     return sum([(mask & m) >> d if d >= 0 else (mask & m) << -d for m, d in moves])
 
 
-def _mask_orbit(mask, coords, p):
-    """Every image of the subset `mask` under the shift group, as a list of
-    distinct masks.
+def _mask_orbit(mask, p, n):
+    """Every image of the subset `mask` of `[0, p)^n` under the shift group,
+    as a list of distinct masks.
 
     Images are built one coordinate at a time: x_j -> a x_j + b is the
     scaling by a, then the translation by b.  The scaling moves each index
     with digit c by (a c mod p - c) * width, one masked block move per
     digit the set holds; it only matters on a column of two values or
-    more, since a translation moves a one-value column anywhere.
+    more, since a translation moves a one-value column anywhere.  The
+    translation by b carries the digits below p - b up by b, a right shift
+    by b * width, and the others down by p - b.
     """
     images = [mask]
-    for width, masks, translations in coords:
+    for width, masks in _digit_masks(p, n):
         # Z_2 has no scale but 1
         held = [c for c in range(p) if mask & masks[c]] if p > 2 else ()
         if len(held) > 1:
@@ -319,32 +303,12 @@ def _mask_orbit(mask, coords, p):
                 scaled += [_move(x, moves) for x in images]
             images = list(set(scaled))
         grown = set(images)
-        for low, up, high, down in translations:
+        for b in range(1, p):
+            low, high = sum(masks[: p - b]), sum(masks[p - b :])
+            up, down = b * width, (p - b) * width
             grown.update([(x & low) >> up | (x & high) << down for x in images])
         images = list(grown)
     return images
-
-
-def _points_mask(points, p, size):
-    """The mask of distinct points of [0, p)^n in a box of `size` points."""
-    mask = 0
-    for v in points:
-        index = 0
-        for c in v:
-            index = index * p + c
-        mask |= 1 << (size - 1 - index)
-    return mask
-
-
-def _mask_points(mask, box):
-    """The sorted points of a subset mask."""
-    size = len(box)
-    out = []
-    while mask:
-        bit = mask.bit_length()
-        out.append(box[size - bit])
-        mask ^= 1 << (bit - 1)
-    return tuple(out)
 
 
 def _check_group_order(p, n, max_sets):
@@ -372,11 +336,11 @@ def shift_orbit(p, n, points, max_sets=20000):
             raise ValueError(f"coordinates of {v} must lie in [0, {p})")
     if len(set(pts)) != len(pts):
         raise ValueError("a point set may not repeat a point")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime: {p}")
     _check_group_order(p, n, max_sets)
-    box = box_points(p, n)
-    size = len(box)
-    orbit = _mask_orbit(_points_mask(pts, p, size), _coordinate_masks(p, n), p)
-    return [_mask_points(image, box) for image in sorted(orbit, reverse=True)]
+    orbit = _mask_orbit(_subset_mask(pts, p, n), p, n)
+    return [_subset_points(image, p, n) for image in sorted(orbit, reverse=True)]
 
 
 def _unrank_combination(index, items, m):
@@ -405,8 +369,8 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
     representative.  With sample=k, k subsets are drawn without
     replacement using the seed and only the drawn sets are tallied.
 
-    Subsets are bit masks of the box (see `_coordinate_masks`), and orbits are
-    built by `_mask_orbit`.  Translations carry any point to the origin,
+    Subsets are bit masks of the box (see `points._digit_masks`), and
+    orbits are built by `_mask_orbit`.  Translations carry any point to the origin,
     so every class has members that hold the origin, its lex-smallest
     among them.  An exhaustive sweep therefore visits only the
     C(p^n - 1, m - 1) subsets that hold the origin, a drawn subset is
@@ -444,26 +408,26 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
         raise EmptyPointSet("empty point set")
 
     budget = fan_budget or {}
-    coords = _coordinate_masks(p, n)
+    digits = _digit_masks(p, n)
     origin = 1 << (size - 1)
     # Swapping coordinates j and j+1 of a point with digits c and c + e
-    # there moves its index by e * (p - 1) * p^(n-2-j).
-    swaps = []
-    for j in range(n - 1):
-        left, right = coords[j][1], coords[j + 1][1]
-        swaps.append([
+    # there moves its index by e * (p - 1) times the block width of j+1.
+    swaps = [
+        [
             (
                 sum(left[c] & right[c + e] for c in range(p) if 0 <= c + e < p),
-                e * (p - 1) * p ** (n - 2 - j),
+                e * (p - 1) * width,
             )
             for e in range(1 - p, p)
-        ])
+        ]
+        for (_, left), (width, right) in zip(digits, digits[1:])
+    ]
     class_of = {}
     registered = []
 
     def register(orbit, stored, gb_count):
         entry = ShiftClass(
-            representative=_mask_points(max(stored), box),
+            representative=_subset_points(max(stored), p, n),
             size=len(orbit),
             gb_count=gb_count,
             unique=gb_count == 1,
@@ -483,7 +447,7 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
                 image = _move(rep, swap)
                 if image in class_of:
                     continue
-                reached = _mask_orbit(image, coords, p)
+                reached = _mask_orbit(image, p, n)
                 stored = [x for x in reached if x >= origin]
                 if len(class_of) + len(stored) > max_sets:
                     return
@@ -493,10 +457,10 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
     def lookup(mask):
         entry = class_of.get(mask)
         if entry is None:
-            orbit = _mask_orbit(mask, coords, p)
+            orbit = _mask_orbit(mask, p, n)
             stored = [x for x in orbit if x >= origin]
             rep = max(stored)
-            count = fan_size(PointSet(p, n, _mask_points(rep, box)), **budget)
+            count = fan_size(PointSet(p, n, _subset_points(rep, p, n)), **budget)
             entry = register(orbit, stored, count)
             share(rep, count)
         return entry
@@ -518,7 +482,7 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
         for r in sorted(rng.sample(range(population), total)):
             subset = _unrank_combination(r, box, m)
             moved = [tuple((x - y) % p for x, y in zip(v, subset[0])) for v in subset]
-            drawn.append(lookup(_points_mask(moved, p, size)))
+            drawn.append(lookup(_subset_mask(moved, p, n)))
         hit = set(drawn)
         unique_sets = sum(entry.unique for entry in drawn)
         mode = "sample"

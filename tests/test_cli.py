@@ -177,7 +177,10 @@ def test_gb_bad_order_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "zero denominator" in err
 
 
-@pytest.mark.parametrize("order", ["grlex:1", "grevlex:x", "weight:1,1:tie=1,2:extra"])
+@pytest.mark.parametrize(
+    "order",
+    ["grlex:1", "grevlex:x", "weight:1,1:tie=1,2:extra", "lex:", "lex:1,,2", "weight:1,1:tie="],
+)
 def test_order_with_trailing_text_exits_2(tmp_path, capsys, order):
     # text past the order grammar is refused, never dropped
     csv = tmp_path / "v.csv"
@@ -185,6 +188,8 @@ def test_order_with_trailing_text_exits_2(tmp_path, capsys, order):
     code, out, err = _run(capsys, ["gb", str(csv), "--p", "3", "--n", "2", "--order", order])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    # a malformed permutation gets the grammar's line, not int()'s
+    assert "invalid literal" not in err
 
 
 def test_json_points_refuse_a_disagreeing_p_or_n(tmp_path, capsys):
@@ -331,7 +336,7 @@ def test_config_file(tmp_path, capsys):
     assert "y^2 + 2*y" in out
 
 
-@pytest.mark.parametrize("names", ["a", "a,b,c"])
+@pytest.mark.parametrize("names", ["a", "a,b,c", ""])
 def test_names_must_match_the_variable_count(tmp_path, capsys, names):
     toy = _write(tmp_path, "toy.json", TOY)
     data = _write(tmp_path, "data.json", DataSet.from_fds(lac_fds(), PointSet.from_json(S5)).to_json())

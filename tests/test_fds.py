@@ -414,7 +414,9 @@ def test_dataset_round_trip_and_validation():
     assert set(data.to_json()["outputs"]) == {"1", "2", "3", "4"}
     with pytest.raises(DimensionMismatch):
         DataSet(S5, {0: (1, 0)})
-    for key in ("0", "5", "x1"):
+    # a key is refused unless it is the canonical spelling of 1..n: "01"
+    # would collide with "1", and int() reads other digits than 0-9
+    for key in ("0", "5", "x1", "01", "\u0661", "\u00b2"):
         bad = dict(data.to_json(), outputs={key: [0] * len(S5)})
         with pytest.raises(ValueError, match="not a coordinate"):
             DataSet.from_json(bad)

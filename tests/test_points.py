@@ -24,7 +24,13 @@ from gbfan import (
 )
 from gbfan.groebner import bm_reduced_gb
 from gbfan.poly import LexOrder
-from gbfan.points import _box, _LexStandardSets, eval_monomial, walk_staircases
+from gbfan.points import (
+    _LexStandardSets,
+    _subset_mask,
+    _subset_points,
+    eval_monomial,
+    walk_staircases,
+)
 from _oracles import brute_force_order_ideals, span_rank, walk_staircases_reference
 
 
@@ -333,6 +339,26 @@ def test_walk_matches_recursive_reference(p, n):
                 assert new == ref, (m, seed, stop)
 
 
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
+def test_subset_masks_round_trip_and_order_sets_of_one_size_lex(p, n):
+    # every subset of the small boxes, random ones of Z_5^2: the points
+    # come back from their mask, and among sets of one size a larger mask
+    # is a lexicographically smaller sorted set
+    box = box_points(p, n)
+    rng = random.Random(2700 + p)
+    for m in range(len(box) + 1):
+        if p**n <= 9:
+            sets = list(itertools.combinations(box, m))
+        else:
+            sets = sorted({tuple(sorted(rng.sample(box, m))) for _ in range(30)})
+        masks = []
+        for members in sets:
+            V = PointSet(p, n, members)
+            masks.append(_subset_mask(V.points, p, n))
+            assert _subset_points(masks[-1], p, n) == V.points
+        assert all(a > b for a, b in zip(masks, masks[1:])), m
+
+
 S5 = PointSet(2, 4, [(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0), (1, 1, 1, 1)])
 
 
@@ -352,10 +378,9 @@ def test_lex_standard_sets_match_interpolation(p, n, sets):
     if (p, n) == (2, 4):
         cases.append(S5)
     for V in cases:
-        mask = sum(1 << lex.index(v) for v in V.points)
+        mask = _subset_mask(V.points, p, n)
         for perm in itertools.permutations(range(n)):
-            got = lex(mask, perm)
-            got = tuple(u for i, u in enumerate(_box(p, n)) if got >> i & 1)
+            got = _subset_points(lex(mask, perm), p, n)
             want = bm_reduced_gb(V, LexOrder(perm)).standard_monomials.points
             assert got == want, (V, perm)
     # the empty set has no standard monomial

@@ -30,7 +30,7 @@ from gbfan import (
     parse_polynomial,
     shift_orbit,
 )
-from gbfan.points import _LexStandardSets
+from gbfan.points import _LexStandardSets, _subset_mask
 from _oracles import (
     all_shift_list,
     brute_force_detect,
@@ -555,7 +555,7 @@ def test_unique_classes_are_those_whose_lex_staircases_agree(
     perms = list(itertools.permutations(range(n)))
     shifted = 0
     for c in report.classes:
-        mask = sum(1 << lex.index(v) for v in c.representative)
+        mask = _subset_mask(c.representative, p, n)
         assert (len({lex(mask, perm) for perm in perms}) == 1) == c.unique, c
         assert lex.unique(mask) == c.unique, c
         if find_staircase_shift(PointSet(p, n, c.representative)) is not None:
