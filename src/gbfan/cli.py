@@ -8,6 +8,7 @@ codes: 0 success, 2 malformed input, 3 budget exceeded.
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -111,8 +112,12 @@ def parse_order_spec(spec, n):
         parts = rest.split(":")
         if len(parts) > 2:
             raise ValueError(f"unrecognized order suffix: {':'.join(parts[2:])}")
+        texts = parts[0].split(",")
+        for x in texts:
+            if not re.fullmatch(r"[0-9]+(/[0-9]+)?", x):
+                raise ValueError(f"weight {x!r} must be a or a/b in the digits 0-9")
         try:
-            weights = [Fraction(x) for x in parts[0].split(",")]
+            weights = [Fraction(x) for x in texts]
         except ZeroDivisionError:
             raise ValueError(f"weight with a zero denominator: {parts[0]}") from None
         if len(weights) != n:
@@ -142,10 +147,13 @@ def load_point_set(path, p=None, n=None):
     if p is None or n is None:
         raise ValueError("CSV point files require --p and --n")
     points = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            points.append([int(c) for c in line.split(",")])
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            row = [c.strip() for c in line.split(",")]
+            for c in row:
+                if not re.fullmatch(r"-?[0-9]+", c):
+                    raise ValueError(f"line {number}: field {c!r} is not an integer")
+            points.append([int(c) for c in row])
     return PointSet(p, n, points)
 
 

@@ -10,8 +10,9 @@ combinations; every algorithm of the package runs on it.
 
 A subset of the box [0, p)^n is also one int, one bit per lex index, in
 the single layout of `_digit_masks`: `_subset_mask` and `_subset_points`
-convert, and the lex kernel `_LexStandardSets`, the shift orbits of
-`shifts` and the augmentation scan of `fds` all read the same masks.
+convert, and the staircase walk `walk_staircases`, the lex kernel
+`_LexStandardSets`, the shift orbits of `shifts` and the augmentation
+scan of `fds` all read the same masks.
 """
 
 import itertools
@@ -133,7 +134,7 @@ class PointSet:
             if any(c < 0 or c >= p for c in t):
                 raise ValueError(f"coordinates of {t} must lie in [0, {p})")
             if t in seen:
-                raise ValueError(f"duplicate point {t}")
+                raise ValueError(f"repeated point {t}")
             seen.add(t)
             cleaned.append(t)
         self.p = p
@@ -391,67 +392,57 @@ def height(staircase, j):
     return 1 + max(u[j] for u in staircase.points)
 
 
-@lru_cache(maxsize=None)
-def _box_table(q, n):
-    """The box [0, q)^n in lex order, and for each index the bit mask of
-    the indices of its divisors u/x_j.
-
-    Index i holds the vector of the n base-q digits of i, so dividing by
-    x_j moves q^(n-1-j) indices down.
-    """
-    box = _box(q, n)
-    steps = [q ** (n - 1 - j) for j in range(n)]
-    needs = tuple(
-        sum(1 << i - step for step, c in zip(steps, v) if c) for i, v in enumerate(box)
-    )
-    return box, needs
-
-
 def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
     """Yield the m-member staircases inside [0, p)^n as sorted member tuples.
 
-    Depth-first, in lex order of the member lists, inside [0, min(p, m))^n,
-    which holds every staircase of m members.  The walk is one loop over
-    the lex indices of that box: an int holds one bit per chosen index,
-    and explicit stacks hold the members, their push keys and their
-    indices.  A monomial joins once the bits of its divisors are all set
-    and `push(v)` does not return None; whatever it returns goes to `pop`
+    Depth-first, in lex order of the member lists, inside [0, q)^n with
+    q = min(p, m), or 1 at m = 0, which holds every staircase of m
+    members.  The chosen members are a subset mask of that box
+    (`_digit_masks`), and so are the candidates: the monomials after the
+    last member whose divisors u/x_j are all chosen.  Multiplying the
+    chosen set by x_j moves its mask one digit block down, so the
+    candidates cost n mask operations per member, and the walk takes
+    them highest bit first, which is lex order.  A candidate joins when
+    `push(v)` does not return None; whatever it returns goes to `pop`
     when the walk backtracks past v.  A push that refuses drops every
     staircase extending the current members by v.
     """
-    box, needs = _box_table(min(p, m), n)
-    # the member at depth d sits at an index of at most last + d, which
-    # leaves room for the members after it
-    last = len(box) - m
-    members, keys, indices = [], [], []
-    chosen = 0
-    idx = 0
+    q = max(1, min(p, m))
+    digits = _digit_masks(q, n)
+    box = _box(q, n)
+    top = len(box) - 1
+    # the origin, the top bit, is the one monomial with no divisors
+    members, keys, saved = [], [], []
+    chosen, candidates = 0, 1 << top
     while True:
         depth = len(members)
         if depth == m:
             yield tuple(members)
         else:
             # lexicographic prefixes of a staircase are staircases, so
-            # growing past the last member reaches every staircase once
-            stop = last + depth
-            while idx <= stop and (
-                needs[idx] & ~chosen or (key := push(box[idx])) is None
-            ):
-                idx += 1
-            if idx <= stop:
-                members.append(box[idx])
+            # growing past the last member reaches every staircase once;
+            # the member at depth d sits at bit m-1-d or above, which
+            # leaves room for the members after it
+            key = None
+            while key is None and candidates >> m - 1 - depth:
+                bit = candidates.bit_length() - 1
+                candidates ^= 1 << bit
+                v = box[top - bit]
+                key = push(v)
+            if key is not None:
+                members.append(v)
                 keys.append(key)
-                indices.append(idx)
-                chosen |= 1 << idx
-                idx += 1
+                saved.append((chosen, candidates))
+                chosen |= 1 << bit
+                candidates = (1 << bit) - 1
+                for width, masks in digits:
+                    candidates &= masks[0] | (chosen & ~masks[-1]) >> width
                 continue
         if not members:
             return
         members.pop()
         pop(keys.pop())
-        idx = indices.pop()
-        chosen ^= 1 << idx
-        idx += 1
+        chosen, candidates = saved.pop()
 
 
 class _LexStandardSets:

@@ -403,9 +403,10 @@ def parse_polynomial(text, p, n):
 
     Grammar: terms joined by '+'; a term is an optional leading integer
     coefficient and '*'-separated factors; a factor is a variable with an
-    optional '^' exponent.  Whitespace is ignored.  Subtraction is not
-    part of the grammar; negative displays are encoded with mod-p
-    coefficients.  Per-variable exponents above p are rejected.
+    optional '^' exponent.  Integers are written in the digits 0-9.
+    Whitespace is ignored.  Subtraction is not part of the grammar;
+    negative displays are encoded with mod-p coefficients.  Per-variable
+    exponents above p are rejected.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
@@ -420,7 +421,7 @@ def parse_polynomial(text, p, n):
     def read_int():
         nonlocal pos
         start = pos
-        while pos < size and text[pos].isdigit():
+        while pos < size and "0" <= text[pos] <= "9":
             pos += 1
         if start == pos:
             raise PolySyntaxError("expected an integer", start)
@@ -454,7 +455,7 @@ def parse_polynomial(text, p, n):
         start = pos
         coeff = 1
         exps = [0] * n
-        if pos < size and text[pos].isdigit():
+        if pos < size and "0" <= text[pos] <= "9":
             coeff = read_int()
         elif pos < size and text[pos] == "x":
             i, e = read_factor()

@@ -328,18 +328,9 @@ def shift_orbit(p, n, points, max_sets=20000):
     bounds the order of the shift group, (p(p-1))^n, as in `classify`.
     The orbit is built on bit masks of the box, as in `classify`.
     """
-    pts = [int_tuple(v, "coordinates") for v in points]
-    if any(len(v) != n for v in pts):
-        raise DimensionMismatch(f"points of length other than {n}")
-    for v in pts:
-        if any(c < 0 or c >= p for c in v):
-            raise ValueError(f"coordinates of {v} must lie in [0, {p})")
-    if len(set(pts)) != len(pts):
-        raise ValueError("a point set may not repeat a point")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime: {p}")
+    points = PointSet(p, n, points)
     _check_group_order(p, n, max_sets)
-    orbit = _mask_orbit(_subset_mask(pts, p, n), p, n)
+    orbit = _mask_orbit(_subset_mask(points, p, n), p, n)
     return [_subset_points(image, p, n) for image in sorted(orbit, reverse=True)]
 
 

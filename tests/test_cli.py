@@ -175,6 +175,10 @@ def test_gb_bad_order_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, ["gb", toy, "--order", "weight:1/0,1"])
     assert code == 2
     assert err.count("\n") == 1 and "zero denominator" in err
+    # a weight is [0-9]+(/[0-9]+)?: no other numeral Fraction() reads
+    for weight in ("\u0661", "1_0", "0.5", "1e1"):
+        got = _run(capsys, ["gb", toy, "--order", f"weight:{weight},1"])
+        assert got == (2, "", f"error: weight {weight!r} must be a or a/b in the digits 0-9\n")
 
 
 @pytest.mark.parametrize(
@@ -325,6 +329,21 @@ def test_csv_points(tmp_path, capsys):
     code, _, err = _run(capsys, ["gb", str(csv), "--order", "grevlex"])
     assert code == 2
     assert "--p" in err
+    # a field is -?[0-9]+ once stripped of spaces, never a numeral int()
+    # would also take; a negative one reaches the range check
+    for line, message in [
+        ("1_0,2", "line 2: field '1_0' is not an integer"),
+        ("\u0661,3", "line 2: field '\u0661' is not an integer"),
+        ("+4, 5", "line 2: field '+4' is not an integer"),
+        ("1,,2", "line 2: field '' is not an integer"),
+        (" 0 , -1", "coordinates of (0, -1) must lie in [0, 11)"),
+    ]:
+        csv.write_text(f"0,0\n{line}\n")
+        got = _run(capsys, ["gb", str(csv), "--order", "lex", "--p", "11", "--n", "2"])
+        assert got == (2, "", f"error: {message}\n"), line
+    csv.write_text("0,0\n 2 , 1\n")
+    code, out, _ = _run(capsys, ["gb", str(csv), "--order", "lex", "--p", "11", "--n", "2"])
+    assert code == 0 and json.loads(out)
 
 
 def test_config_file(tmp_path, capsys):
@@ -376,6 +395,14 @@ def test_fds_state_space_dot(tmp_path, capsys):
     data = json.loads(out)
     assert len(data["edges"]) == 16
     assert len(data["components"]) == 4
+    # digits outside 0-9 get the polynomial grammar's positioned line
+    for text, message in [
+        ("x\u0661 + x2", "expected an integer (at position 1)"),
+        ("x1 + \u0663*x2", "expected a coefficient or a variable (at position 5)"),
+        ("x\u00b2", "expected an integer (at position 1)"),
+    ]:
+        model = _write(tmp_path, "model.json", {"p": 5, "n": 2, "functions": [text, "x1"]})
+        assert _run(capsys, ["fds", "state-space", model]) == (2, "", f"error: {message}\n")
 
 
 def test_fds_select_and_models(tmp_path, capsys):
@@ -575,13 +602,14 @@ def test_unique_builds_the_fan_only_for_several_basic_staircases(
 def test_fds_augment_box_budget(tmp_path, capsys, monkeypatch):
     # five points in Z_5^7 have standard sets in a box of 5^7 members even
     # with --max-k 0, the box that bounds the lex masks of their standard
-    # sets: the box budget refuses them before any box table is built
+    # sets: the box budget refuses them before any mask table of the box
+    # is built
     import gbfan.points
 
     def refuse(*args):
-        raise AssertionError("a box table was built")
+        raise AssertionError("a mask table of the box was built")
 
-    monkeypatch.setattr(gbfan.points, "_box_table", refuse)
+    monkeypatch.setattr(gbfan.points, "_digit_masks", refuse)
     wide = [[i] * 7 for i in range(5)]
     path = _write(tmp_path, "wide.json", {"p": 5, "n": 7, "points": wide})
     code, out, err = _run(capsys, ["fds", "augment", path, "--max-k", "0"])
@@ -813,13 +841,13 @@ def test_no_augmentation_never_lists_the_box(tmp_path):
 def test_staircase_box_budget(tmp_path, capsys, monkeypatch):
     # `--max-sets` bounds the shifts `staircase` tries, the product of the
     # surviving scale/offset pairs per coordinate, and no staircase is
-    # listed, so diagonal points build no box table
+    # listed, so diagonal points build no mask table of the box
     import gbfan.points
 
     def refuse(*args):
-        raise AssertionError("a box table was built")
+        raise AssertionError("a mask table of the box was built")
 
-    monkeypatch.setattr(gbfan.points, "_box_table", refuse)
+    monkeypatch.setattr(gbfan.points, "_digit_masks", refuse)
     wide = _write(tmp_path, "wide.json", {"p": 5, "n": 7, "points": [[i] * 7 for i in range(5)]})
     code, out, err = _run(capsys, ["staircase", wide])
     assert (code, out) == (3, "")

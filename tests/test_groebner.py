@@ -571,7 +571,7 @@ def test_corners_match_reference(p, n, sizes):
 @pytest.mark.parametrize(
     "p,n",
     [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (5, 3),
-     (2, 4), (3, 4), (2, 5), (2, 6)],
+     (2, 4), (3, 4), (2, 5), (2, 6), (101, 3)],
 )
 def test_fan_layers_match_references(p, n):
     # on every basic staircase: the tails and the target interpolants read

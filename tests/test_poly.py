@@ -245,6 +245,10 @@ def test_parse_examples():
         ("x1 x2", 3),
         ("x1^", 3),
         ("y1", 0),
+        ("x\u0661", 1),
+        ("x\u00b2", 1),
+        ("x1 + \u0663*x2", 5),
+        ("\u0663", 0),
     ],
 )
 def test_parse_errors_carry_position(text, position):
