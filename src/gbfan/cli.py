@@ -3,11 +3,13 @@
 Every command is a thin adapter around one library call, printing JSON by
 default (or text / DOT where it makes sense) with deterministic,
 byte-for-byte reproducible output for identical inputs and seed.  Exit
-codes: 0 success, 2 malformed input, 3 budget exceeded.
+codes: 0 success, 1 stdout closed by its reader, 2 malformed input,
+3 budget exceeded.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -149,12 +151,22 @@ def load_point_set(path, p=None, n=None):
     points = []
     for number, line in enumerate(text.splitlines(), 1):
         if line.strip():
-            row = [c.strip() for c in line.split(",")]
-            for c in row:
-                if not re.fullmatch(r"-?[0-9]+", c):
-                    raise ValueError(f"line {number}: field {c!r} is not an integer")
-            points.append([int(c) for c in row])
+            try:
+                points.append([integer(c.strip()) for c in line.split(",")])
+            except ValueError as exc:
+                raise ValueError(f"line {number}: field {exc}") from None
     return PointSet(p, n, points)
+
+
+def integer(text):
+    """An int written as an optional minus sign and the digits 0-9: the
+    one reader of integer options and CSV fields.  `int` alone would also
+    read '1_0', '+4', ' 4' and the digits of other scripts.  argparse
+    names it in its error: "invalid integer value".
+    """
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def _json(value, indent="\n"):
@@ -427,11 +439,11 @@ def cmd_lac_demo(args, config):
 # options that several commands read; each command registers the ones it reads
 _SHARED = {
     "--names": {"help": "comma-separated variable names for output"},
-    "--p": {"type": int, "help": "modulus for CSV input"},
-    "--n": {"type": int, "help": "arity for CSV input"},
-    "--max-box": {"type": int},
-    "--max-points": {"type": int},
-    "--max-sets": {"type": int},
+    "--p": {"type": integer, "help": "modulus for CSV input"},
+    "--n": {"type": integer, "help": "arity for CSV input"},
+    "--max-box": {"type": integer},
+    "--max-points": {"type": integer},
+    "--max-sets": {"type": integer},
 }
 _CSV = ("--p", "--n")
 _FAN = ("--max-box", "--max-points")
@@ -481,11 +493,11 @@ def build_parser():
 
     sp = _command(sub, "classify", "shift-equivalence classification sweep",
                   cmd_classify, "--max-sets", *_FAN)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--sample", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--p", type=int, required=True, help="modulus")
-    sp.add_argument("--n", type=int, required=True, help="arity")
+    sp.add_argument("--m", type=integer, required=True)
+    sp.add_argument("--sample", type=integer, default=None)
+    sp.add_argument("--seed", type=integer, default=None)
+    sp.add_argument("--p", type=integer, required=True, help="modulus")
+    sp.add_argument("--n", type=integer, required=True, help="arity")
 
     fds = sub.add_parser("fds", help="finite dynamical system pipelines")
     fds_sub = fds.add_subparsers(dest="fds_command", required=True)
@@ -497,7 +509,7 @@ def build_parser():
                   cmd_fds_select, "--names")
     sp.add_argument("data")
     sp.add_argument("--order", required=True)
-    sp.add_argument("--coordinate", type=int, default=None)
+    sp.add_argument("--coordinate", type=integer, default=None)
 
     _command(fds_sub, "models", "all interpolating models", cmd_fds_models,
              *_FAN).add_argument("data")
@@ -505,7 +517,7 @@ def build_parser():
     sp = _command(fds_sub, "augment", "fewest points forcing uniqueness",
                   cmd_fds_augment, *_CSV, "--max-sets", "--max-box")
     sp.add_argument("points")
-    sp.add_argument("--max-k", type=int, default=None)
+    sp.add_argument("--max-k", type=integer, default=None)
 
     _command(sub, "lac-demo", "end-to-end lac operon walkthrough", cmd_lac_demo,
              "--names", formats=_JSON_TEXT)
@@ -536,10 +548,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)
-        return args.func(args, config)
+        code = args.func(args, config)
+        # output still buffered would meet a closed reader only at exit
+        sys.stdout.flush()
+        return code
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader of stdout stopped early, which is no malformed input:
+        # no error line, exit 1, and stdout goes to devnull so the flush at
+        # exit does not fail again (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (GbfanError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,13 @@ dependent monomial's value vector reads off a generator of
 `bm_reduced_gb`, or a corner's tail in the walk, and reducing a target
 vector of values over the points reads off its interpolant.  A staircase
 is kept when a strictly positive weight vector makes every corner larger
-than its tail terms: a pair of opposite corner-minus-tail differences
-refutes it as soon as the second is built, and otherwise integer
-Fourier-Motzkin elimination decides it and rebuilds the witness.  The
+than its tail terms.  Its corners come from the walk's own subset mask,
+and its tails are read corner by corner, each corner-minus-tail
+difference an int in base 2q + 1 over the walk's box [0, q)^n: a pair of
+opposite differences refutes the staircase as soon as the second is
+read, before the remaining tails and before any tuple is built, and
+otherwise integer Fourier-Motzkin elimination decides it, on the same
+differences as tuples, and rebuilds the witness.  The
 elimination drops each derived row that Chernikov's rule shows implied,
 and refuses, with BudgetExceeded, a step that would pair more than
 FM_MAX_PAIRS rows.  One generator yields the staircases that pass both
@@ -32,7 +36,14 @@ from math import gcd
 from operator import mul, sub
 
 from .errors import BudgetExceeded, EmptyPointSet
-from .points import OrderIdealSet, _echelon, lex_unique, walk_staircases
+from .points import (
+    OrderIdealSet,
+    _box,
+    _digit_masks,
+    _echelon,
+    lex_unique,
+    walk_staircases,
+)
 from .poly import (
     MarkedPolynomial,
     Polynomial,
@@ -183,41 +194,61 @@ def bm_reduced_gb(points, order):
     )
 
 
-def _corners(members, n):
-    """Minimal exponent vectors outside a staircase.
+def _corner_reader(p, n, m):
+    """The corners of the staircases that `walk_staircases(p, n, m)`
+    yields, read off their masks, and a code for each monomial of the
+    walk's box: (corners, codes).
 
-    A vector w outside is a corner exactly when w - e_j lies inside for
-    every j with w_j > 0, that is when it arises as u + e_j from members u
-    as many times as it has nonzero exponents.
+    A code is the value of an exponent vector's digits in base 2q + 1,
+    where q = max(1, min(p, m)) is the side of the walk's box [0, q)^n.
+    A corner's exponents lie in [0, q] and a member's in [0, q), so each
+    entry of a difference c - u lies in [-q, q]: its code is code(c) -
+    code(u), distinct differences have distinct codes, and -d has the
+    code of d negated.  `codes[bit]` is the code of the monomial at that
+    bit of a walk mask.
+
+    `corners(chosen)` lists (corner, code) in sorted order.  Inside the
+    box, w is a corner when it is not chosen and, for every j, w_j = 0 or
+    w/x_j is chosen: the walk's candidate formula over the whole box,
+    which `full` bounds when n = 0.  Outside it the corners are the pure
+    powers q e_j with (q - 1) e_j chosen and no others, since every
+    w - e_j of a corner w is a member.  Bits read highest first come in
+    lex order, so only a pure power calls for a sort.
     """
-    inside = set(members)
-    hits = {}
-    for u in members:
-        for j in range(n):
-            w = u[:j] + (u[j] + 1,) + u[j + 1 :]
-            if w not in inside:
-                hits[w] = hits.get(w, 0) + 1
-    return sorted(w for w, c in hits.items() if c == n - w.count(0))
+    q = max(1, min(p, m))
+    digits = _digit_masks(q, n)
+    box = _box(q, n)
+    top = len(box) - 1
+    full = (1 << len(box)) - 1
+    base = 2 * q + 1
+    codes = []
+    for v in reversed(box):  # bit b is lex index top - b
+        code = 0
+        for x in v:
+            code = code * base + x
+        codes.append(code)
+    # per j: the bit of (q - 1) e_j, the corner q e_j and its code
+    powers = []
+    for j, (width, _) in enumerate(digits):
+        power = (0,) * j + (q,) + (0,) * (n - 1 - j)
+        powers.append((top - (q - 1) * width, power, q * base ** (n - 1 - j)))
 
+    def corners(chosen):
+        free = full & ~chosen
+        for width, masks in digits:
+            free &= masks[0] | (chosen & ~masks[-1]) >> width
+        out = []
+        while free:
+            bit = free.bit_length() - 1
+            free ^= 1 << bit
+            out.append((box[top - bit], codes[bit]))
+        outside = [(power, code) for bit, power, code in powers if chosen >> bit & 1]
+        if outside:
+            out += outside
+            out.sort()
+        return out
 
-def _differences(tails):
-    """The corner-minus-tail differences c - u, corner by corner, or None
-    at the first one whose negation came before it.
-
-    No weight w makes both w.d and w.(-d) positive: Gordan's alternative
-    with multipliers (1, 1) refutes the staircase before any elimination,
-    and before the rest of its differences are built.
-    """
-    diffs = []
-    negations = set()
-    for c, tail in tails:
-        for u, _ in tail:
-            d = tuple(map(sub, c, u))
-            if d in negations:
-                return None
-            diffs.append(d)
-            negations.add(tuple(map(sub, u, c)))
-    return diffs
+    return corners, codes
 
 
 # the most row pairs one Fourier-Motzkin elimination step may combine
@@ -346,26 +377,59 @@ def _fm_witness(diffs, nvars, prune):
 
 def _staircase_tails(points, targets=()):
     """Each basic staircase with the tail of each of its corners, and the
-    interpolant of each target value vector.
+    interpolant of each target value vector, or None in their place when
+    two opposite corner-minus-tail differences refute the staircase.
 
     The staircases of m = |V| monomials come from `walk_staircases`, in
     the lex order of `enumerate_order_ideals`, kept to basic ones by the
-    pushes of `points._echelon`.  On a full staircase the echelon rows span every
+    pushes of `points._echelon`, and their corners from the walk's masks
+    (`_corner_reader`).  On a full staircase the echelon rows span every
     value vector, so reducing a corner's vector reads off the unique
     member coefficients of its interpolant, and reducing a target, a
-    vector of values over the points, reads off its own.  Yields
-    (members, tails, fits): one (corner, [(member, coefficient), ...]) per
-    corner in sorted order, and one [(member, coefficient), ...] per
-    target, zero terms left out; with no targets, fits is ().
+    vector of values over the points, reads off its own.  The tails are
+    read corner by corner, in sorted order, and each term u of the tail
+    of c gives the difference c - u as an int code; no weight w makes
+    both w.d and w.(-d) positive (Gordan's alternative with multipliers
+    (1, 1)), so the staircase is refuted at the first difference whose
+    negation came before it, and its remaining tails and its targets'
+    interpolants are never read.  Yields (members, tails, fits): one
+    (corner, [(member, coefficient), ...]) per corner in sorted order,
+    and one [(member, coefficient), ...] per target, zero terms left out;
+    with no targets, fits is ().  A refuted staircase yields
+    (members, None, None).
     """
     p, n, m = points.p, points.n, len(points)
     push, pop, vector, coefficients, pack = _echelon(points)
+    corners, codes = _corner_reader(p, n, m)
     packed = [pack(t) for t in targets]
-    for members in walk_staircases(p, n, m, push, pop):
-        tails = [
-            (c, [(u, x) for u, x in zip(members, coefficients(vector(c))) if x])
-            for c in _corners(members, n)
-        ]
+
+    def read_tails(members, chosen):
+        # the members' codes, highest bit first, which is their order
+        member_codes = []
+        rest = chosen
+        while rest:
+            bit = rest.bit_length() - 1
+            rest ^= 1 << bit
+            member_codes.append(codes[bit])
+        seen = set()
+        tails = []
+        for c, code in corners(chosen):
+            tail = []
+            for u, uc, x in zip(members, member_codes, coefficients(vector(c))):
+                if x:
+                    d = code - uc
+                    if -d in seen:
+                        return None
+                    seen.add(d)
+                    tail.append((u, x))
+            tails.append((c, tail))
+        return tails
+
+    for members, chosen in walk_staircases(p, n, m, push, pop):
+        tails = read_tails(members, chosen)
+        if tails is None:
+            yield members, None, None
+            continue
         fits = [
             [(u, x) for u, x in zip(members, coefficients(vec)) if x] for vec in packed
         ] if packed else ()
@@ -408,16 +472,17 @@ def _coherent_staircases(points, targets=()):
     above every term of their tails.
 
     The staircases, tails and target interpolants come from
-    `_staircase_tails`.  Two opposite differences c - u refute a
-    staircase, and otherwise the Fourier-Motzkin kernel decides.  Yields
+    `_staircase_tails`, which refutes a staircase holding two opposite
+    differences c - u.  On the others the Fourier-Motzkin kernel decides,
+    on the differences built corner by corner and term by term.  Yields
     (members, tails, witness, fits); this is the one place that filters
     the fan's staircases.
     """
     n = points.n
     for members, tails, fits in _staircase_tails(points, targets):
-        diffs = _differences(tails)
-        if diffs is None:
+        if tails is None:
             continue
+        diffs = [tuple(map(sub, c, u)) for c, tail in tails for u, _ in tail]
         witness = _positive_weight_witness(diffs, n)
         if witness is not None:
             yield members, tails, witness, fits

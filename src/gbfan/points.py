@@ -10,9 +10,9 @@ combinations; every algorithm of the package runs on it.
 
 A subset of the box [0, p)^n is also one int, one bit per lex index, in
 the single layout of `_digit_masks`: `_subset_mask` and `_subset_points`
-convert, and the staircase walk `walk_staircases`, the lex kernel
-`_LexStandardSets`, the shift orbits of `shifts` and the augmentation
-scan of `fds` all read the same masks.
+convert, and the staircase walk `walk_staircases`, the corners the fan
+reads off its masks, the lex kernel `_LexStandardSets`, the shift orbits
+of `shifts` and the augmentation scan of `fds` all read the same masks.
 """
 
 import itertools
@@ -393,7 +393,8 @@ def height(staircase, j):
 
 
 def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
-    """Yield the m-member staircases inside [0, p)^n as sorted member tuples.
+    """Yield the m-member staircases inside [0, p)^n, each as its sorted
+    member tuple and its subset mask: (members, chosen).
 
     Depth-first, in lex order of the member lists, inside [0, q)^n with
     q = min(p, m), or 1 at m = 0, which holds every staircase of m
@@ -405,7 +406,9 @@ def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
     them highest bit first, which is lex order.  A candidate joins when
     `push(v)` does not return None; whatever it returns goes to `pop`
     when the walk backtracks past v.  A push that refuses drops every
-    staircase extending the current members by v.
+    staircase extending the current members by v.  The same formula over
+    the whole box, less the chosen bits, gives a staircase's corners
+    inside it (`groebner._corner_reader`).
     """
     q = max(1, min(p, m))
     digits = _digit_masks(q, n)
@@ -417,7 +420,7 @@ def walk_staircases(p, n, m, push=lambda v: True, pop=lambda key: None):
     while True:
         depth = len(members)
         if depth == m:
-            yield tuple(members)
+            yield tuple(members), chosen
         else:
             # lexicographic prefixes of a staircase are staircases, so
             # growing past the last member reaches every staircase once;
@@ -596,4 +599,4 @@ def enumerate_order_ideals(p, n, m):
         raise ValueError(f"p must be prime: {p}")
     if not 1 <= m <= p**n:
         raise ValueError(f"m must lie in [1, {p**n}], got {m}")
-    return [OrderIdealSet(p, n, members) for members in walk_staircases(p, n, m)]
+    return [OrderIdealSet(p, n, members) for members, _ in walk_staircases(p, n, m)]

@@ -525,7 +525,7 @@ def corners_reference(members, n):
     """Minimal exponent vectors outside a staircase.
 
     Each border candidate u + e_j is kept when every w - e_j, for w_j > 0,
-    is a member.  The reference for `groebner._corners`.
+    is a member.  The reference for the corners of `groebner._corner_reader`.
     """
     inside = set(members)
     cand = set()
@@ -675,7 +675,8 @@ def staircase_tails_reference(points, targets=()):
     `groebner._staircase_tails`: a list of (members, tails, fits) with one
     (corner, [(member, coefficient), ...]) per corner and one
     [(member, coefficient), ...] per target, zero terms left out; with no
-    targets, fits is ().
+    targets, fits is ().  A staircase whose tuple differences c - u hold
+    some d and -d is (members, None, None).
     """
     p, n, m = points.p, points.n, len(points)
     basis = []
@@ -728,5 +729,35 @@ def staircase_tails_reference(points, targets=()):
             [(u, x) for u, x in zip(members, combine(reduce(list(t)))) if x]
             for t in targets
         ]
-        out.append((members, tails, fits if targets else ()))
+        if _opposite_pair(tails):
+            out.append((members, None, None))
+        else:
+            out.append((members, tails, fits if targets else ()))
+    return out
+
+
+def _differences_reference(tails):
+    """The corner-minus-tail differences c - u as tuples, corner by corner
+    and term by term."""
+    return [tuple(a - b for a, b in zip(c, u)) for c, tail in tails for u, _ in tail]
+
+
+def _opposite_pair(tails):
+    """Whether the differences of the tails hold some d and -d."""
+    diffs = set(_differences_reference(tails))
+    return any(tuple(-x for x in d) in diffs for d in diffs)
+
+
+def coherent_staircases_reference(points, targets=()):
+    """The staircases of `staircase_tails_reference` that no opposite pair
+    refutes and whose differences `fm_witness_reference` solves, as
+    (members, tails, witness, fits): the tuple-path reference for
+    `groebner._coherent_staircases`.
+    """
+    out = []
+    for members, tails, fits in staircase_tails_reference(points, targets):
+        if tails is not None:
+            witness = fm_witness_reference(_differences_reference(tails), points.n)
+            if witness is not None:
+                out.append((members, tails, witness, fits))
     return out

@@ -1003,6 +1003,61 @@ def test_an_option_a_command_does_not_read_exits_2(tmp_path, capsys, argv):
     assert "unrecognized arguments" in err or "invalid choice" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gb", "CSV", "--p", "1_1", "--n", "2", "--order", "lex"],
+    ["gb", "CSV", "--p", "11", "--n", "\u0662", "--order", "lex"],
+    ["classify", "--p", "2", "--n", "3", "--m", "3", "--sample", "\uff15"],
+    ["classify", "--p", "+2", "--n", "3", "--m", "3"],
+    ["classify", "--p", "2", "--n", "3", "--m", " 3"],
+    ["classify", "--p", "2", "--n", "3", "--m", "3", "--sample", "5", "--seed", "1_0"],
+    ["fan", "TOY", "--max-box", "64 "],
+    ["unique", "TOY", "--max-points", "\t16"],
+    ["staircase", "TOY", "--max-sets", "1_000"],
+    ["fds", "select", "DATA", "--order", "lex", "--coordinate", "+1"],
+    ["fds", "augment", "TOY", "--max-k", "\u0668"],
+])
+def test_integer_options_read_only_ascii_digits(tmp_path, capsys, argv):
+    # every integer option is -?[0-9]+, as a CSV field is: an underscore,
+    # another script's digits, a plus sign or spaces, which int() reads,
+    # exit 2 before the command runs
+    csv = tmp_path / "points.csv"
+    csv.write_text("0,0\n1,0\n2,1\n")
+    files = {
+        "CSV": str(csv),
+        "TOY": _write(tmp_path, "toy.json", TOY),
+        "DATA": _write(tmp_path, "data.json", DataSet.from_fds(
+            lac_fds(), PointSet.from_json(S5)).to_json()),
+    }
+    with pytest.raises(SystemExit) as info:
+        main([files.get(arg, arg) for arg in argv])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid integer value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--p", "2", "--n", "4", "--m", "5"],
+    ["gb", "TOY", "--order", "lex"],
+])
+def test_a_closed_stdout_exits_1_with_no_error_line(tmp_path, argv):
+    # the reader of stdout is gone before anything is written: a long
+    # output meets it in print, a short one in main's flush, and neither
+    # is malformed input
+    toy = _write(tmp_path, "toy.json", TOY)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gbfan.cli", *[toy if a == "TOY" else a for a in argv]],
+            stdout=write, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_readme_option_table_matches_the_parser():
     readme = (SRC.parent / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]

@@ -35,17 +35,18 @@ from gbfan import (
 import gbfan.groebner
 from gbfan.field import ModpRows, modp_row_rank, modp_solve_columns
 from gbfan.groebner import (
-    _corners,
-    _differences,
+    _coherent_staircases,
+    _corner_reader,
     _fm_witness,
     _positive_weight_witness,
     _staircase_tails,
 )
-from gbfan.points import eval_monomial, lex_unique, walk_staircases
+from gbfan.points import _subset_mask, eval_monomial, lex_unique, walk_staircases
 from _oracles import (
     _basic_count,
     brute_force_order_ideals,
     box_scan_reduced_gb,
+    coherent_staircases_reference,
     corners_reference,
     fm_witness_reference,
     random_point_set,
@@ -555,17 +556,37 @@ def test_fan_size_counts_the_validated_fan(p, n):
             _assert_validated(entry, V)
 
 
+def _code(v, base):
+    code = 0
+    for x in v:
+        code = code * base + x
+    return code
+
+
 @pytest.mark.parametrize(
     "p,n,sizes",
     [(2, 0, [1]), (5, 1, range(1, 6)), (7, 2, range(1, 10)), (5, 2, range(1, 13)),
-     (3, 3, range(1, 11)), (2, 4, range(1, 17)), (2, 6, range(1, 10))],
+     (3, 3, range(1, 11)), (2, 4, range(1, 17)), (2, 6, range(1, 10)),
+     (3, 0, [1]), (7, 1, range(1, 8)), (2, 1, range(1, 3)), (3, 2, range(1, 10))],
 )
 def test_corners_match_reference(p, n, sizes):
-    # on every staircase of each size, counting how often u + e_j arises
-    # finds the same sorted corners as checking each w - e_j for membership
+    # on every staircase of each size, the corners read off the walk's mask
+    # are the sorted corners of checking each w - e_j for membership, the
+    # mask is the subset mask of the members, and each corner and member
+    # carries its digits in base 2q + 1; where q = p < m, or q = m on a
+    # line, the pure powers q e_j outside the box are corners too
+    outside = 0
     for m in sizes:
-        for members in walk_staircases(p, n, m):
-            assert _corners(members, n) == corners_reference(members, n), members
+        q = max(1, min(p, m))
+        corners, codes = _corner_reader(p, n, m)
+        for members, chosen in walk_staircases(p, n, m):
+            assert chosen == _subset_mask(members, q, n), members
+            expected = corners_reference(members, n)
+            assert corners(chosen) == [(c, _code(c, 2 * q + 1)) for c in expected], members
+            bits = [i for i in range(q**n) if chosen >> i & 1][::-1]
+            assert [codes[i] for i in bits] == [_code(u, 2 * q + 1) for u in members]
+            outside += sum(q in c for c in expected)
+    assert outside or n == 0
 
 
 @pytest.mark.parametrize(
@@ -573,39 +594,100 @@ def test_corners_match_reference(p, n, sizes):
     [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (5, 3),
      (2, 4), (3, 4), (2, 5), (2, 6), (101, 3)],
 )
-def test_fan_layers_match_references(p, n):
+def test_fan_layers_match_references(p, n, monkeypatch):
     # on every basic staircase: the tails and the target interpolants read
-    # off the walk equal a fresh solve; the differences are refused exactly
-    # when they hold some d and -d, and the rational reference refutes
-    # those too; otherwise they come in corner order and the integer
-    # kernel returns the reference's witness, or None with it
+    # off the walk equal a fresh solve; a staircase is refuted exactly when
+    # the differences of those tails hold some d and -d, and the rational
+    # reference refutes those too; otherwise the Fourier-Motzkin rows are
+    # the differences in corner order, and the integer kernel returns the
+    # reference's witness, or None with it
     rng = random.Random(900 + 10 * p + n)
     sets = [random_points(rng, p, n, 1)]
     sets += [random_points(rng, p, n, rng.randint(2, min(p**n, 10))) for _ in range(8)]
+    kernel = gbfan.groebner._positive_weight_witness
+    rows = []
+
+    def recording(diffs, nvars):
+        rows.append(diffs)
+        return kernel(diffs, nvars)
+
+    monkeypatch.setattr(gbfan.groebner, "_positive_weight_witness", recording)
     for V in sets:
         targets = [tuple(rng.randrange(p) for _ in V.points) for _ in range(2)]
+        survivors = []
         for members, tails, fits in _staircase_tails(V, targets):
-            rows = [[eval_monomial(v, u, p) for u in members] for v in V.points]
-            corners = [[eval_monomial(v, c, p) for v in V.points] for c, _ in tails]
-            columns = corners + targets
-            solved = modp_solve_columns(rows, columns, p)
-            for (corner, tail), coeffs in zip(tails, solved):
-                assert tail == [(u, x) for u, x in zip(members, coeffs) if x], (V, corner)
+            values = [[eval_monomial(v, u, p) for u in members] for v in V.points]
+            expected = corners_reference(members, n)
+            corners = [[eval_monomial(v, c, p) for v in V.points] for c in expected]
+            solved = modp_solve_columns(values, corners + targets, p)
+            solved_tails = [
+                (c, [(u, x) for u, x in zip(members, coeffs) if x])
+                for c, coeffs in zip(expected, solved)
+            ]
+            diffs = [
+                tuple(a - b for a, b in zip(c, u))
+                for c, tail in solved_tails for u, _ in tail
+            ]
+            negated = [tuple(-x for x in e) for e in diffs]
+            assert (tails is None) == (not set(diffs).isdisjoint(negated)), (V, members)
+            witness = fm_witness_reference(diffs, n)
+            if tails is None:
+                assert fits is None
+                assert witness is None, (V, members)
+                continue
+            assert tails == solved_tails, (V, members)
             for fit, coeffs in zip(fits, solved[len(tails):]):
                 assert fit == [(u, x) for u, x in zip(members, coeffs) if x], V
             assert len(fits) == len(targets)
-            diffs = [
-                tuple(a - b for a, b in zip(c, u)) for c, tail in tails for u, _ in tail
-            ]
-            negated = [tuple(-x for x in e) for e in diffs]
-            got = _differences(tails)
-            assert (got is None) == (not set(diffs).isdisjoint(negated))
-            expected = fm_witness_reference(diffs, n)
-            if got is None:
-                assert expected is None, (V, members)
-            else:
-                assert got == diffs
-                assert _positive_weight_witness(diffs, n) == expected, (V, members)
+            assert kernel(diffs, n) == witness, (V, members)
+            survivors.append((members, tails, diffs, witness, fits))
+        rows.clear()
+        got = list(_coherent_staircases(V, targets))
+        assert rows == [diffs for _, _, diffs, _, _ in survivors], V
+        assert got == [
+            (members, tails, witness, fits)
+            for members, tails, _, witness, fits in survivors
+            if witness is not None
+        ], V
+
+
+def _orbit_representatives(p, n):
+    """One subset of Z_p^n per orbit of the translations and coordinate
+    permutations, as subset masks over the lex indices of the box."""
+    box = box_points(p, n)
+    index = {v: i for i, v in enumerate(box)}
+    maps = [
+        [index[tuple((v[perm[j]] + b[j]) % p for j in range(n))] for v in box]
+        for perm in itertools.permutations(range(n))
+        for b in box
+    ]
+    seen = set()
+    for mask in range(1, 1 << len(box)):
+        if mask not in seen:
+            members = [i for i in range(len(box)) if mask >> i & 1]
+            seen.update(sum(1 << f[i] for i in members) for f in maps)
+            yield [box[i] for i in members]
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (101, 3)])
+def test_coherent_staircases_match_tuple_reference(p, n):
+    # the walk's masks and codes keep exactly the staircases, tails,
+    # witnesses and target fits of the tuple path: every subset of Z_3^2,
+    # every subset of Z_2^4 up to translation and coordinate permutation
+    # (401 sets), and random sets of Z_101^3, with and without targets
+    rng = random.Random(3100 + p)
+    if p == 101:
+        cases = [random_points(rng, p, n, rng.randint(1, 9)).points for _ in range(12)]
+    elif p == 3:
+        box = box_points(p, n)
+        cases = [s for m in range(1, len(box) + 1) for s in itertools.combinations(box, m)]
+    else:
+        cases = list(_orbit_representatives(p, n))
+    for points in cases:
+        V = PointSet(p, n, points)
+        targets = [tuple(rng.randrange(p) for _ in V.points) for _ in range(rng.randint(0, 2))]
+        got = list(_coherent_staircases(V, targets))
+        assert got == coherent_staircases_reference(V, targets), V
 
 
 @pytest.mark.usefixtures("fm_matches_reference")
