@@ -76,7 +76,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        data = require_object(json.loads(Path(path).read_text()), (), "a config file")
+        data = require_object(_parse_json(Path(path).read_text()), (), "a config file")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
@@ -134,12 +134,21 @@ def parse_order_spec(spec, n):
     raise ValueError(f"unknown order spec: {spec}")
 
 
+def _parse_json(text):
+    """Parsed JSON text: the one reader of JSON input, which refuses
+    nesting too deep for the parser as malformed input (ValueError)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def load_point_set(path, p=None, n=None):
     """Point-set file: JSON with p/n/points, or CSV rows with --p/--n."""
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
-        points = PointSet.from_json(json.loads(text))
+        points = PointSet.from_json(_parse_json(text))
         for name, given, found in (("p", p, points.p), ("n", n, points.n)):
             if given is not None and given != found:
                 raise ValueError(
@@ -202,9 +211,12 @@ def _emit(payload, config):
 
 
 def _names(config, n):
-    """The configured variable names, refused unless there is one per variable."""
+    """The configured variable names, refused unless there is one per
+    variable and none is empty."""
     if config.names is not None and len(config.names) != n:
         raise ValueError(f"expected {n} variable names, got {len(config.names)}")
+    if config.names is not None and "" in config.names:
+        raise ValueError("variable names must not be empty")
     return config.names
 
 
@@ -305,7 +317,7 @@ def cmd_classify(args, config):
 
 
 def _load_fds(path):
-    return FiniteDynamicalSystem.from_json(json.loads(Path(path).read_text()))
+    return FiniteDynamicalSystem.from_json(_parse_json(Path(path).read_text()))
 
 
 def cmd_fds_state_space(args, config):
@@ -331,7 +343,7 @@ def cmd_fds_state_space(args, config):
 
 
 def cmd_fds_select(args, config):
-    dataset = DataSet.from_json(json.loads(Path(args.data).read_text()))
+    dataset = DataSet.from_json(_parse_json(Path(args.data).read_text()))
     names = _names(config, dataset.n)
     coords = dataset.coordinates()
     if args.coordinate is not None:
@@ -362,7 +374,7 @@ def cmd_fds_select(args, config):
 
 
 def cmd_fds_models(args, config):
-    dataset = DataSet.from_json(json.loads(Path(args.data).read_text()))
+    dataset = DataSet.from_json(_parse_json(Path(args.data).read_text()))
     result = enumerate_models(
         dataset, max_box=config.max_box, max_points=config.max_points
     )
@@ -561,7 +573,7 @@ def main(argv=None):
         # exit does not fail again (the Python docs' note on SIGPIPE)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (GbfanError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (GbfanError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -421,11 +421,13 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
     basis wins.  Returns (k, witness) or None when k_max is exhausted.
     A negative k_max raises ValueError.  Before any test, raises
     BudgetExceeded when [0, min(p, m + k))^n has more than max_box
-    members: the standard sets of the points with up to k extra points,
-    the lex masks of `_LexStandardSets`, have their bits in that box.
-    Unless the points already have a unique basis, raises BudgetExceeded
-    before any scan when the subsets of up to k_max points number more
-    than max_sets.
+    members: the standard sets of the points with up to k extra points
+    lie in that box.  Unless the points already have a unique basis,
+    raises BudgetExceeded before any scan when the subsets of up to k_max
+    points number more than max_sets.  The masks of `_LexStandardSets`
+    are p^n bits wide whatever the box: for k_max >= 1 it is max_sets
+    that bounds them, since every single clear point is a candidate, so
+    p^n - m <= max_sets.
 
     Every set, the points and each candidate, is decided by the n lex
     orders "x_j first" (`points._LexStandardSets.unique`): it is unique
@@ -464,11 +466,14 @@ def min_augmentation(points, k_max, max_sets=20000, max_box=64):
         return None
     lex = _LexStandardSets(p, n)
     base = _subset_mask(points.points, p, n)
-    # the clear bits, highest first, are the complement in lex order
-    clear = [1 << i for i in range(p**n - 1, -1, -1) if not base >> i & 1]
+    # the clear bits, highest first, are the complement in lex order;
+    # their indices, not their masks, so no p^n-bit int is held per point
+    clear = [i for i in range(p**n - 1, -1, -1) if not base >> i & 1]
     for k in range(1, k_max + 1):
         for extra in itertools.combinations(clear, k):
-            mask = base | sum(extra)
+            mask = base
+            for i in extra:
+                mask |= 1 << i
             if lex.unique(mask):
                 return k, PointSet(p, n, _subset_points(mask ^ base, p, n))
     return None

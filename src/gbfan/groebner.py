@@ -22,12 +22,14 @@ otherwise integer Fourier-Motzkin elimination decides it, on the same
 differences as tuples, and rebuilds the witness.  The
 elimination drops each derived row that Chernikov's rule shows implied,
 and refuses, with BudgetExceeded, a step that would pair more than
-FM_MAX_PAIRS rows.  One generator yields the staircases that pass both
-tests: `fan_size` only counts them, for callers that need the number of
-bases, `all_reduced_gbs` reads each basis off its tails, under a
-certificate that each tail lies below its corner in the witness order,
-and `fds.enumerate_models` hands it the data's output columns as targets
-and reads every model off the same rows, with no second solve.
+FM_MAX_PAIRS rows.  One generator, `_coherent_staircases`, runs the
+walk, reads the tails, makes both tests and yields the staircases that
+pass, in the walk's lex order: `fan_size` only counts them, for callers
+that need the number of bases, `all_reduced_gbs` reads each basis off
+its tails, under a certificate that each tail lies below its corner in
+the witness order, and `fds.enumerate_models` hands it the data's output
+columns as targets and reads every model off the same rows, with no
+second solve.
 """
 
 import heapq
@@ -344,9 +346,10 @@ def _fm_witness(diffs, nvars, prune):
                 rhs = mp * bp + mn * bn
                 g = gcd(*coeffs)
                 if not g:
-                    if rhs > 0:
-                        return None
-                    continue
+                    # 0.w >= rhs is infeasible: inputs have rhs 1, and a
+                    # derived rhs is a positive combination of those, so
+                    # it stays at least 1 after division by a positive gcd
+                    return None
                 g = gcd(g, rhs)
                 if g > 1:
                     coeffs = [x // g for x in coeffs]
@@ -373,67 +376,6 @@ def _fm_witness(diffs, nvars, prune):
 
     g = gcd(*num)
     return tuple(x // g for x in num)
-
-
-def _staircase_tails(points, targets=()):
-    """Each basic staircase with the tail of each of its corners, and the
-    interpolant of each target value vector, or None in their place when
-    two opposite corner-minus-tail differences refute the staircase.
-
-    The staircases of m = |V| monomials come from `walk_staircases`, in
-    the lex order of `enumerate_order_ideals`, kept to basic ones by the
-    pushes of `points._echelon`, and their corners from the walk's masks
-    (`_corner_reader`).  On a full staircase the echelon rows span every
-    value vector, so reducing a corner's vector reads off the unique
-    member coefficients of its interpolant, and reducing a target, a
-    vector of values over the points, reads off its own.  The tails are
-    read corner by corner, in sorted order, and each term u of the tail
-    of c gives the difference c - u as an int code; no weight w makes
-    both w.d and w.(-d) positive (Gordan's alternative with multipliers
-    (1, 1)), so the staircase is refuted at the first difference whose
-    negation came before it, and its remaining tails and its targets'
-    interpolants are never read.  Yields (members, tails, fits): one
-    (corner, [(member, coefficient), ...]) per corner in sorted order,
-    and one [(member, coefficient), ...] per target, zero terms left out;
-    with no targets, fits is ().  A refuted staircase yields
-    (members, None, None).
-    """
-    p, n, m = points.p, points.n, len(points)
-    push, pop, vector, coefficients, pack = _echelon(points)
-    corners, codes = _corner_reader(p, n, m)
-    packed = [pack(t) for t in targets]
-
-    def read_tails(members, chosen):
-        # the members' codes, highest bit first, which is their order
-        member_codes = []
-        rest = chosen
-        while rest:
-            bit = rest.bit_length() - 1
-            rest ^= 1 << bit
-            member_codes.append(codes[bit])
-        seen = set()
-        tails = []
-        for c, code in corners(chosen):
-            tail = []
-            for u, uc, x in zip(members, member_codes, coefficients(vector(c))):
-                if x:
-                    d = code - uc
-                    if -d in seen:
-                        return None
-                    seen.add(d)
-                    tail.append((u, x))
-            tails.append((c, tail))
-        return tails
-
-    for members, chosen in walk_staircases(p, n, m, push, pop):
-        tails = read_tails(members, chosen)
-        if tails is None:
-            yield members, None, None
-            continue
-        fits = [
-            [(u, x) for u, x in zip(members, coefficients(vec)) if x] for vec in packed
-        ] if packed else ()
-        yield members, tails, fits
 
 
 def is_unique_gb(points):
@@ -469,23 +411,63 @@ def check_fan_budget(points, max_box=64, max_points=16):
 
 def _coherent_staircases(points, targets=()):
     """Each basic staircase whose corners a strictly positive weight puts
-    above every term of their tails.
+    above every term of their tails: the one filter of the fan.
 
-    The staircases, tails and target interpolants come from
-    `_staircase_tails`, which refutes a staircase holding two opposite
-    differences c - u.  On the others the Fourier-Motzkin kernel decides,
-    on the differences built corner by corner and term by term.  Yields
-    (members, tails, witness, fits); this is the one place that filters
-    the fan's staircases.
+    The staircases of m = |V| monomials come from `walk_staircases`, in
+    the lex order of `enumerate_order_ideals`, kept to basic ones by the
+    pushes of `points._echelon`, and their corners from the walk's masks
+    (`_corner_reader`).  On a full staircase the echelon rows span every
+    value vector, so reducing a corner's vector reads off the unique
+    member coefficients of its interpolant, and reducing a target, a
+    vector of values over the points, reads off its own.  The tails are
+    read corner by corner, in sorted order, and each term u of the tail
+    of c gives the difference c - u as an int code; no weight w makes
+    both w.d and w.(-d) positive (Gordan's alternative with multipliers
+    (1, 1)), so the staircase is refuted at the first difference whose
+    negation came before it, and its remaining tails are never read.  On
+    the others the Fourier-Motzkin kernel decides, on the same
+    differences as tuples, corner by corner and term by term, and only a
+    staircase it keeps has its targets read.  Yields (members, tails,
+    witness, fits): one (corner, [(member, coefficient), ...]) per corner
+    in sorted order, the witness, and one [(member, coefficient), ...]
+    per target, zero terms left out; with no targets, fits is ().
     """
-    n = points.n
-    for members, tails, fits in _staircase_tails(points, targets):
-        if tails is None:
-            continue
-        diffs = [tuple(map(sub, c, u)) for c, tail in tails for u, _ in tail]
-        witness = _positive_weight_witness(diffs, n)
-        if witness is not None:
-            yield members, tails, witness, fits
+    p, n, m = points.p, points.n, len(points)
+    push, pop, vector, coefficients, pack = _echelon(points)
+    corners, codes = _corner_reader(p, n, m)
+    packed = [pack(t) for t in targets]
+    for members, chosen in walk_staircases(p, n, m, push, pop):
+        # the members' codes, highest bit first, which is their order
+        member_codes = []
+        rest = chosen
+        while rest:
+            bit = rest.bit_length() - 1
+            rest ^= 1 << bit
+            member_codes.append(codes[bit])
+        seen = set()
+        tails = []
+        for c, code in corners(chosen):
+            tail = []
+            for u, uc, x in zip(members, member_codes, coefficients(vector(c))):
+                if x:
+                    d = code - uc
+                    if -d in seen:
+                        break
+                    seen.add(d)
+                    tail.append((u, x))
+            else:
+                tails.append((c, tail))
+                continue
+            break  # an opposite pair refutes the staircase
+        else:
+            diffs = [tuple(map(sub, c, u)) for c, tail in tails for u, _ in tail]
+            witness = _positive_weight_witness(diffs, n)
+            if witness is not None:
+                fits = [
+                    [(u, x) for u, x in zip(members, coefficients(vec)) if x]
+                    for vec in packed
+                ] if packed else ()
+                yield members, tails, witness, fits
 
 
 def fan_size(points, max_box=64, max_points=16):
@@ -515,7 +497,8 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
     generator c - tail(c) per corner, sorted by the witness order.  A
     certificate checks that each tail term lies below its corner in that
     order: the generators vanish on the points and lead at the corners, so
-    the standard monomials are exactly the staircase.
+    the standard monomials are exactly the staircase.  The entries come
+    in the walk's order, lexicographic on the sorted standard monomials.
     """
     check_fan_budget(points, max_box, max_points)
     p, n = points.p, points.n
@@ -537,7 +520,6 @@ def all_reduced_gbs(points, max_box=64, max_points=16):
         staircase = OrderIdealSet._from_walk(p, n, members)
         basis = ReducedGroebnerBasis(order, generators, staircase)
         entries.append(FanEntry(staircase, basis, witness))
-    entries.sort(key=lambda e: e.standard_monomials.points)
     return AlgebraicFan(points, entries)
 
 

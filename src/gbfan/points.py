@@ -19,7 +19,7 @@ import itertools
 from functools import lru_cache
 from math import prod
 
-from .errors import DimensionMismatch, EmptyStaircase
+from .errors import BudgetExceeded, DimensionMismatch, EmptyStaircase
 from .field import MatrixZp, ModpRows, gf2_reduce, int_tuple, is_prime
 
 
@@ -46,15 +46,21 @@ def _digit_masks(p, n):
     of one size a larger mask is a lexicographically smaller sorted
     subset.  Digit c of coordinate j holds a block of `width` bits at
     offset (p-1-c) * width in every period of p * width bits, so its mask
-    is the digit-0 mask moved c blocks down.
+    is the digit-0 mask moved c blocks down.  A box whose masks are too
+    large for an int, or for memory, raises BudgetExceeded.
     """
     size = p**n
     table = []
-    for j in range(n):
-        width = p ** (n - 1 - j)
-        repeat = ((1 << size) - 1) // ((1 << p * width) - 1)
-        floor = ((1 << width) - 1) * repeat << (p - 1) * width
-        table.append((width, tuple(floor >> c * width for c in range(p))))
+    try:
+        for j in range(n):
+            width = p ** (n - 1 - j)
+            repeat = ((1 << size) - 1) // ((1 << p * width) - 1)
+            floor = ((1 << width) - 1) * repeat << (p - 1) * width
+            table.append((width, tuple(floor >> c * width for c in range(p))))
+    except (OverflowError, MemoryError):
+        raise BudgetExceeded(
+            f"box size {size} is too large for a mask of one bit per member"
+        ) from None
     return tuple(table)
 
 
@@ -471,9 +477,10 @@ class _LexStandardSets:
 
     def __init__(self, p, n):
         self.p = p
+        # first, so that a box too large for its masks is refused there
+        self.digits = _digit_masks(p, n)
         # the monomial 1, lex index 0, the top bit
         self.one = 1 << p**n - 1
-        self.digits = _digit_masks(p, n)
         # the plans of `unique`: the identity, its reverse, then x_j first
         # for each middle j
         first = tuple(range(n))

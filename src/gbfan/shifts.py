@@ -12,6 +12,7 @@ masks.
 
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, prod
@@ -352,6 +353,16 @@ def _unrank_combination(index, items, m):
     return tuple(out)
 
 
+def _draw_ranks(rng, population, k):
+    """k distinct ints below population, drawn as `Random.sample` draws
+    from a population above its pool size: one `randrange` each, redrawn
+    on a repeat.  `range` cannot hold a population above sys.maxsize."""
+    ranks = set()
+    while len(ranks) < k:
+        ranks.add(rng.randrange(population))
+    return ranks
+
+
 def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
     """Partition the m-subsets of Z_p^n into shift-equivalence classes.
 
@@ -469,8 +480,12 @@ def classify(p, n, m, sample=None, seed=0, max_sets=20000, fan_budget=None):
     else:
         total = min(sample, population)
         rng = random.Random(seed)
+        if population <= sys.maxsize:
+            ranks = rng.sample(range(population), total)
+        else:
+            ranks = _draw_ranks(rng, population, total)
         drawn = []
-        for r in sorted(rng.sample(range(population), total)):
+        for r in sorted(ranks):
             subset = _unrank_combination(r, box, m)
             moved = [tuple((x - y) % p for x, y in zip(v, subset[0])) for v in subset]
             drawn.append(lookup(_subset_mask(moved, p, n)))

@@ -671,9 +671,9 @@ def staircase_tails_reference(points, targets=()):
     subtracted of each row, and those multipliers, weighed by the rows'
     coefficients, give its combination of the members.  Values come from
     `eval_monomial`, staircases from `walk_staircases_reference` and
-    corners from `corners_reference`.  The reference for
-    `groebner._staircase_tails`: a list of (members, tails, fits) with one
-    (corner, [(member, coefficient), ...]) per corner and one
+    corners from `corners_reference`.  The helper of
+    `coherent_staircases_reference`: a list of (members, tails, fits) with
+    one (corner, [(member, coefficient), ...]) per corner and one
     [(member, coefficient), ...] per target, zero terms left out; with no
     targets, fits is ().  A staircase whose tuple differences c - u hold
     some d and -d is (members, None, None).
@@ -751,8 +751,9 @@ def _opposite_pair(tails):
 def coherent_staircases_reference(points, targets=()):
     """The staircases of `staircase_tails_reference` that no opposite pair
     refutes and whose differences `fm_witness_reference` solves, as
-    (members, tails, witness, fits): the tuple-path reference for
-    `groebner._coherent_staircases`.
+    (members, tails, witness, fits): the list-row, tuple-path reference
+    for `groebner._coherent_staircases`, the one generator from the walk
+    to the witness.
     """
     out = []
     for members, tails, fits in staircase_tails_reference(points, targets):

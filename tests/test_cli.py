@@ -150,12 +150,10 @@ def test_fan_text_format_with_names(tmp_path, capsys):
         "  b + a^2 + 2*a\n"
         "  a^3 + 2*a\n"
     )
-    # an empty name prints as an empty factor, never as the constant
-    code, out, _ = _run(
-        capsys, ["gb", toy, "--order", "lex:2,1", "--format", "text", "--names", ",b"]
-    )
-    assert code == 0
-    assert out.startswith("standard monomials: 1, , ^2\n")
+    # an empty name would print as an empty factor, so it is refused; the
+    # library's formatting of one is pinned in test_poly
+    argv = ["gb", toy, "--order", "lex:2,1", "--format", "text", "--names", ",b"]
+    _one_line_error(*_run(capsys, argv), "variable names must not be empty")
 
 
 def test_gb_empty_points_exits_2(tmp_path, capsys):
@@ -395,6 +393,11 @@ def test_fds_state_space_dot(tmp_path, capsys):
     data = json.loads(out)
     assert len(data["edges"]) == 16
     assert len(data["components"]) == 4
+    code, out, _ = _run(capsys, ["fds", "state-space", lac, "--format", "text"])
+    assert code == 0
+    assert out.splitlines() == [
+        "".join(map(str, a)) + " -> " + "".join(map(str, b)) for a, b in data["edges"]
+    ] + ["4 weakly connected components"]
     # digits outside 0-9 get the polynomial grammar's positioned line
     for text, message in [
         ("x\u0661 + x2", "expected an integer (at position 1)"),
@@ -601,9 +604,8 @@ def test_unique_builds_the_fan_only_for_several_basic_staircases(
 
 def test_fds_augment_box_budget(tmp_path, capsys, monkeypatch):
     # five points in Z_5^7 have standard sets in a box of 5^7 members even
-    # with --max-k 0, the box that bounds the lex masks of their standard
-    # sets: the box budget refuses them before any mask table of the box
-    # is built
+    # with --max-k 0: the box budget refuses them before any mask table of
+    # the box is built
     import gbfan.points
 
     def refuse(*args):
@@ -1067,3 +1069,48 @@ def test_readme_option_table_matches_the_parser():
         formats = [tuple(choices.split(",")) for _, choices in options if choices]
         table[name] = ({"--config", *(o for o, _ in options)}, formats[0] if formats else ())
     assert table == {name: _options(sp) for name, sp in _commands(build_parser())}
+
+
+def test_classify_sample_beyond_sys_maxsize(capsys):
+    # C(128, 20) subsets are more than range() holds; the draw still runs,
+    # and the fan budget refuses the first drawn set
+    got = _run(capsys, ["classify", "--p", "2", "--n", "7", "--m", "20", "--sample", "5"])
+    assert got == (3, "", "error: box size 128 exceeds the budget 64\n")
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("text", [DEEP, '{"p": 2, "n": 1, "points": ' + DEEP + "}"],
+                         ids=["array", "points-value"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, text):
+    # each kind of JSON file: points, data, system and config
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    toy = _write(tmp_path, "toy.json", TOY)
+    for argv in (
+        ["gb", str(deep), "--order", "grevlex"],
+        ["fan", str(deep)],
+        ["fds", "models", str(deep)],
+        ["fds", "select", str(deep), "--order", "grevlex"],
+        ["fds", "state-space", str(deep)],
+        ["gb", toy, "--order", "grevlex", "--config", str(deep)],
+    ):
+        _one_line_error(*_run(capsys, argv), "JSON nested too deeply")
+
+
+@pytest.mark.parametrize("argv", [["fan"], ["unique"], ["fds", "augment", "--max-k", "0"]])
+def test_a_box_too_large_for_its_masks_exits_3(tmp_path, capsys, argv):
+    # 2^70 members fit the box budget given, but no mask of one bit each
+    wide = _write(tmp_path, "wide.json", {"p": 2, "n": 70, "points": [[0] * 70, [1] * 70]})
+    code, out, err = _run(capsys, [*argv, wide, "--max-box", "1" + "0" * 30])
+    assert (code, out) == (3, "")
+    assert err == f"error: box size {2**70} is too large for a mask of one bit per member\n"
+
+
+def test_empty_variable_names_exit_2(tmp_path, capsys):
+    toy = _write(tmp_path, "toy.json", TOY)
+    cfg = _write(tmp_path, "config.json", {"names": ["a", ""]})
+    for extra in (["--names", "a,"], ["--config", cfg]):
+        _one_line_error(*_run(capsys, ["gb", toy, "--order", "grevlex", *extra]),
+                        "variable names must not be empty")

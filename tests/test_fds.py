@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -405,6 +406,20 @@ def test_min_augmentation_lists_no_box_before_its_budget(monkeypatch):
     assert min_augmentation(line, 0) is None
     with pytest.raises(BudgetExceeded):
         min_augmentation(line, 2)
+
+
+def test_min_augmentation_holds_no_mask_per_clear_point():
+    # three points of Z_101^2 that no single extra point makes unique: all
+    # 10,198 candidates are tried, and a mask of p^n bits per clear point
+    # would hold about 6.5 MB by itself
+    line = PointSet(101, 2, [(0, 0), (1, 1), (2, 2)])
+    tracemalloc.start()
+    try:
+        assert min_augmentation(line, 1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6, peak
 
 
 def test_dataset_round_trip_and_validation():

@@ -39,9 +39,14 @@ from gbfan.groebner import (
     _corner_reader,
     _fm_witness,
     _positive_weight_witness,
-    _staircase_tails,
 )
-from gbfan.points import _subset_mask, eval_monomial, lex_unique, walk_staircases
+from gbfan.points import (
+    _echelon,
+    _subset_mask,
+    eval_monomial,
+    lex_unique,
+    walk_staircases,
+)
 from _oracles import (
     _basic_count,
     brute_force_order_ideals,
@@ -53,7 +58,6 @@ from _oracles import (
     random_points,
     random_shift,
     span_rank,
-    staircase_tails_reference,
     weight_grid_bases,
     weight_grid_sm_sets,
 )
@@ -507,9 +511,10 @@ def test_uniqueness_fast_path_matches_fan_size():
     "p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 1), (2, 5)]
 )
 def test_pruned_walk_and_tail_bases_match_oracles(p, n):
-    # the fan's walk yields exactly the basic staircases of the unpruned
-    # filter, in its order; each fan basis read off the tails equals a fresh
-    # interpolation at its witness; and the count-only path agrees
+    # the walk, driven by the echelon's pushes, yields exactly the basic
+    # staircases of the unpruned filter, in its order; each fan basis read
+    # off the tails equals a fresh interpolation at its witness; and the
+    # count-only path agrees
     rng = random.Random(500 + 10 * p + n)
     box = box_points(p, n)
     sets = [PointSet(p, n, [rng.choice(box)]), PointSet(p, n, box)]
@@ -517,7 +522,8 @@ def test_pruned_walk_and_tail_bases_match_oracles(p, n):
     for V in sets:
         m = len(V)
         basic = [s.points for s in enumerate_order_ideals(p, n, m) if is_basic(s, V)]
-        assert [s for s, _, _ in _staircase_tails(V)] == basic, V
+        push, pop = _echelon(V)[:2]
+        assert [s for s, _ in walk_staircases(p, n, m, push, pop)] == basic, V
         fan = all_reduced_gbs(V, max_box=p**n, max_points=m)
         for entry in fan.entries:
             redo = bm_reduced_gb(V, WeightOrder(entry.witness_weight))
@@ -595,12 +601,13 @@ def test_corners_match_reference(p, n, sizes):
      (2, 4), (3, 4), (2, 5), (2, 6), (101, 3)],
 )
 def test_fan_layers_match_references(p, n, monkeypatch):
-    # on every basic staircase: the tails and the target interpolants read
-    # off the walk equal a fresh solve; a staircase is refuted exactly when
-    # the differences of those tails hold some d and -d, and the rational
-    # reference refutes those too; otherwise the Fourier-Motzkin rows are
-    # the differences in corner order, and the integer kernel returns the
-    # reference's witness, or None with it
+    # on every basic staircase, with tails and target interpolants from a
+    # fresh solve: a staircase whose differences hold some d and -d is one
+    # the rational reference refutes too, and Fourier-Motzkin is called on
+    # exactly the others, in walk order, each with its differences in
+    # corner order as rows; the integer kernel returns the reference's
+    # witness, or None with it, and the generator yields the staircases it
+    # keeps with the solved tails and target interpolants
     rng = random.Random(900 + 10 * p + n)
     sets = [random_points(rng, p, n, 1)]
     sets += [random_points(rng, p, n, rng.randint(2, min(p**n, 10))) for _ in range(8)]
@@ -615,7 +622,8 @@ def test_fan_layers_match_references(p, n, monkeypatch):
     for V in sets:
         targets = [tuple(rng.randrange(p) for _ in V.points) for _ in range(2)]
         survivors = []
-        for members, tails, fits in _staircase_tails(V, targets):
+        push, pop = _echelon(V)[:2]
+        for members, _ in walk_staircases(p, n, len(V), push, pop):
             values = [[eval_monomial(v, u, p) for u in members] for v in V.points]
             expected = corners_reference(members, n)
             corners = [[eval_monomial(v, c, p) for v in V.points] for c in expected]
@@ -629,18 +637,17 @@ def test_fan_layers_match_references(p, n, monkeypatch):
                 for c, tail in solved_tails for u, _ in tail
             ]
             negated = [tuple(-x for x in e) for e in diffs]
-            assert (tails is None) == (not set(diffs).isdisjoint(negated)), (V, members)
             witness = fm_witness_reference(diffs, n)
-            if tails is None:
-                assert fits is None
+            if not set(diffs).isdisjoint(negated):
                 assert witness is None, (V, members)
                 continue
-            assert tails == solved_tails, (V, members)
-            for fit, coeffs in zip(fits, solved[len(tails):]):
-                assert fit == [(u, x) for u, x in zip(members, coeffs) if x], V
+            fits = [
+                [(u, x) for u, x in zip(members, coeffs) if x]
+                for coeffs in solved[len(expected):]
+            ]
             assert len(fits) == len(targets)
             assert kernel(diffs, n) == witness, (V, members)
-            survivors.append((members, tails, diffs, witness, fits))
+            survivors.append((members, solved_tails, diffs, witness, fits))
         rows.clear()
         got = list(_coherent_staircases(V, targets))
         assert rows == [diffs for _, _, diffs, _, _ in survivors], V
@@ -792,9 +799,10 @@ def test_large_p_bases_match_sympy(p):
     [(3, 2, 9), (3, 3, 10), (3, 4, 10), (5, 2, 12), (5, 3, 8), (7, 2, 12), (2, 4, 10)],
 )
 def test_packed_tails_match_list_reference(p, n, most):
-    # the tails and target interpolants read off packed rows equal those of
-    # list rows, walked by the recursive reference walk, staircase by
-    # staircase, corner by corner and target by target
+    # the staircases, tails, witnesses and target interpolants read off
+    # packed rows equal those of list rows, walked by the recursive
+    # reference walk, staircase by staircase, corner by corner and target
+    # by target
     rng = random.Random(600 + 10 * p + n)
     for _ in range(8):
         V = random_points(rng, p, n, rng.randint(1, most))
@@ -802,7 +810,8 @@ def test_packed_tails_match_list_reference(p, n, most):
         targets = [
             tuple(outputs.randrange(p) for _ in V.points) for _ in range(outputs.randint(0, 2))
         ]
-        assert list(_staircase_tails(V, targets)) == staircase_tails_reference(V, targets), V
+        got = list(_coherent_staircases(V, targets))
+        assert got == coherent_staircases_reference(V, targets), V
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251, 2**31 - 1])

@@ -151,6 +151,9 @@ def test_evaluate_is_ring_homomorphism():
         v = tuple(rng.randrange(p) for _ in range(n))
         assert (f + g).evaluate(v) == (f.evaluate(v) + g.evaluate(v)) % p
         assert (f * g).evaluate(v) == (f.evaluate(v) * g.evaluate(v)) % p
+        assert (f - g).evaluate(v) == (f.evaluate(v) - g.evaluate(v)) % p
+        assert (-f).evaluate(v) == -f.evaluate(v) % p
+        assert (1 - f).evaluate(v) == (1 - f.evaluate(v)) % p
 
 
 def _toy_gb1():

@@ -31,6 +31,7 @@ from gbfan import (
     shift_orbit,
 )
 from gbfan.points import _LexStandardSets, _subset_mask
+from gbfan.shifts import _draw_ranks
 from _oracles import (
     all_shift_list,
     brute_force_detect,
@@ -114,6 +115,11 @@ def test_detect_shift_examples():
     assert min(s.coefficients() for s in mapping) == found.coefficients()
     assert detect_shift(V1, V3) is None
     assert detect_shift(V1, V1) == LinearShift.identity(3, 2)
+    # no points, or no variables: the identity, with no pair searched
+    empty = PointSet(5, 2, [])
+    assert detect_shift(empty, empty) == LinearShift.identity(5, 2)
+    lone = PointSet(3, 0, [()])
+    assert detect_shift(lone, lone) == LinearShift.identity(3, 0)
 
 
 def test_detect_shift_size_guard_and_direction():
@@ -125,6 +131,15 @@ def test_detect_shift_size_guard_and_direction():
     phi = detect_shift(C1, C2)
     assert phi == LinearShift(2, (1, 1, 1, 1), (0, 0, 0, 1))
     assert apply_shift(phi, C1) == C2
+
+
+@pytest.mark.parametrize("population", [500, 10**6, 10**12, 2**62])
+def test_drawn_ranks_are_those_of_random_sample(population):
+    # the draw that classify makes above sys.maxsize, one randrange per
+    # rank, takes the ranks Random.sample takes where range() fits
+    for seed in range(3):
+        expected = random.Random(seed).sample(range(population), 20)
+        assert _draw_ranks(random.Random(seed), population, 20) == set(expected)
 
 
 def test_detect_shift_agrees_with_brute_force():
